@@ -8,16 +8,18 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BiratError, ConstraintViolation
+from .errors import BiratError, ConstraintViolation, NonFiniteState
 from .geomcheck import (
     Trajectory,
     conservation_drift,
@@ -217,6 +219,8 @@ def _build_run_config(args) -> RunConfig:
             cfg.x0 = _parse_state(x0_raw, "x0")
         else:
             cfg.x0 = [float(v) for v in x0_raw]
+        if not all(map(math.isfinite, cfg.x0)):
+            raise ConfigError("x0: components must be finite")
     return cfg
 
 
@@ -287,8 +291,11 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[np.ndarray], np.ndarray]:
     raise ConfigError(f"method: unknown method {cfg.method!r}")
 
 
-def _format_row(t: float, state: Sequence[float]) -> list[str]:
-    return [FMT.format(t)] + [FMT.format(v) for v in state]
+def _row_template(fmt: str, dim: int) -> str:
+    """One output row as a format string for (t, *state): CSV or a JSON array."""
+    if fmt == "csv":
+        return ",".join([FMT] * (dim + 1))
+    return "[" + ", ".join([FMT] * (dim + 1)) + "]"
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -302,7 +309,7 @@ def _write_text(path: str | None, text: str) -> None:
 def _emit_trajectory(cfg: RunConfig, names, rows, error: dict | None) -> None:
     if cfg.format == "csv":
         lines = ["t," + ",".join(names)]
-        lines.extend(",".join(row) for row in rows)
+        lines.extend(rows)
         _write_text(cfg.output, "\n".join(lines) + "\n")
         if error is not None:
             print(f"integrate: {error['type']}: {error['message']}"
@@ -312,7 +319,7 @@ def _emit_trajectory(cfg: RunConfig, names, rows, error: dict | None) -> None:
     parts = ['{"model": %s, "method": %s, "h": %s, "state_names": [%s], "rows": [' % (
         json.dumps(cfg.model), json.dumps(cfg.method), FMT.format(cfg.h),
         ", ".join(json.dumps(n) for n in names))]
-    parts.append(",\n".join("[" + ", ".join(row) + "]" for row in rows))
+    parts.append(",\n".join(rows))
     parts.append("]")
     if error is not None:
         parts.append(", \"error\": " + json.dumps(error, sort_keys=True))
@@ -337,16 +344,21 @@ def cmd_integrate(args) -> int:
 
     stepper = _make_stepper(cfg, params)
     state = np.asarray(x0, dtype=float)
-    rows = [_format_row(0.0, state)]
+    row = _row_template(cfg.format, len(names)).format
+    rows = [row(0.0, *state.tolist())]
     error = None
     for k in range(cfg.steps):
         try:
             state = stepper(state)
+            values = state.tolist()
+            if not all(map(math.isfinite, values)):
+                bad = [n for n, v in zip(names, values) if not math.isfinite(v)]
+                raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
         except BiratError as exc:
             error = {"step": k + 1, "type": type(exc).__name__, "message": str(exc)}
             log.error("map failure at step %d: %s", k + 1, exc)
             break
-        rows.append(_format_row((k + 1) * cfg.h, state))
+        rows.append(row((k + 1) * cfg.h, *values))
     _emit_trajectory(cfg, names, rows, error)
     return EXIT_RUNTIME if error is not None else EXIT_OK
 
@@ -386,10 +398,11 @@ def _suite_conservation(seed: int, tol: float) -> list[dict]:
 
     p4 = EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01)
     vf4 = enzyme_vf(p4)
+    cfg4 = KahanStepConfig(h=1e-2)
     state = np.array([p4.s0, p4.e0, 0.0, 0.0])
     states = [state]
     for _ in range(5000):
-        state = kahan_step(vf4, state, KahanStepConfig(h=1e-2))
+        state = kahan_step(vf4, state, cfg4)
         states.append(state)
     traj4 = Trajectory.from_states(np.array(states), 1e-2, "enzyme4")
     drift_ec = conservation_drift(traj4, np.array([0.0, 1.0, 1.0, 0.0]))
@@ -451,12 +464,14 @@ def _suite_roundtrip(seed: int, tol: float) -> list[dict]:
 def _suite_convergence(seed: int, tol: float) -> list[dict]:
     vf = lv_vf()
     hs = [0.02, 0.01, 0.005, 0.0025]
+    kahan_cfg = lru_cache(maxsize=None)(lambda h: KahanStepConfig(h=h))
+    euler_cfg = lru_cache(maxsize=None)(lambda h: KahanStepConfig(h=h, series_order=0))
 
     def kahan_family(state, h):
-        return kahan_step(vf, state, KahanStepConfig(h=h))
+        return kahan_step(vf, state, kahan_cfg(h))
 
     def euler_family(state, h):
-        return kahan_step_series(vf, state, KahanStepConfig(h=h, series_order=0))
+        return kahan_step_series(vf, state, euler_cfg(h))
 
     slope2 = convergence_order(kahan_family, [2.0, 0.5], 1.0, hs)
     slope1 = convergence_order(euler_family, [2.0, 0.5], 1.0, hs)
@@ -466,44 +481,30 @@ def _suite_convergence(seed: int, tol: float) -> list[dict]:
     ]
 
 
+def _fd_map_jacobian(vf, xstar, h: float) -> np.ndarray:
+    """Central-difference Jacobian of the Kahan map at xstar, one column per coordinate."""
+    cfg = KahanStepConfig(h=h)
+    eps = 1e-7
+    base = np.asarray(xstar, dtype=float)
+    cols = []
+    for j in range(len(base)):
+        plus = base.copy()
+        plus[j] += eps
+        minus = base.copy()
+        minus[j] -= eps
+        cols.append((kahan_step(vf, plus, cfg) - kahan_step(vf, minus, cfg)) / (2 * eps))
+    return np.column_stack(cols)
+
+
 def _suite_multipliers(seed: int, tol: float) -> list[dict]:
     vf = lv_vf()
     checks = []
     for h in (0.01, 0.1):
-        def map_jac(xstar, h=h):
-            cfg = KahanStepConfig(h=h)
-            eps = 1e-7
-            cols = []
-            base = np.asarray(xstar, dtype=float)
-            for j in range(len(base)):
-                plus = base.copy()
-                plus[j] += eps
-                minus = base.copy()
-                minus[j] -= eps
-                cols.append((kahan_step(vf, plus, cfg)
-                             - kahan_step(vf, minus, cfg)) / (2 * eps))
-            return np.column_stack(cols)
-
-        dev = multiplier_agreement(map_jac([1.0, 1.0]), vf, [1.0, 1.0], h)
+        dev = multiplier_agreement(_fd_map_jacobian(vf, [1.0, 1.0], h), vf, [1.0, 1.0], h)
         checks.append(_check(f"lv-multiplier-agreement-h{h:g}", dev, 1e-8))
 
     rvf = enzyme_reduced_vf(DimensionlessEnzymeParams(0.5, 0.6, 1e-2))
-
-    def map_jac_r(xstar):
-        cfg = KahanStepConfig(h=0.01)
-        eps = 1e-7
-        base = np.asarray(xstar, dtype=float)
-        cols = []
-        for j in range(len(base)):
-            plus = base.copy()
-            plus[j] += eps
-            minus = base.copy()
-            minus[j] -= eps
-            cols.append((kahan_step(rvf, plus, cfg)
-                         - kahan_step(rvf, minus, cfg)) / (2 * eps))
-        return np.column_stack(cols)
-
-    jac_r = map_jac_r([0.0, 0.0])
+    jac_r = _fd_map_jacobian(rvf, [0.0, 0.0], 0.01)
     dev = multiplier_agreement(jac_r, rvf, [0.0, 0.0], 0.01)
     mults = np.linalg.eigvals(jac_r)
     stable = bool(np.all(np.abs(mults) < 1.0))

@@ -13,6 +13,10 @@ class SingularStepMatrix(BiratError):
     """The linear system of an implicit step is singular at the current state."""
 
 
+class NonFiniteState(BiratError):
+    """A map step produced a state with a NaN or infinite component."""
+
+
 class PoleAtTwoOverH(BiratError, ZeroDivisionError):
     """The multiplier map has a pole: h*lambda equals 2."""
 

@@ -107,13 +107,15 @@ def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -
 
     ``step_family(state, h)`` advances one step of size h.  The reference is
     the same family at h_ref = min(h)/ref_refine, so the estimate needs no
-    exact solution.
+    exact solution.  Step sizes that end at the same time share one reference
+    run, so ``step_family`` must be a pure function of its arguments.
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     if len(hs) < 2:
         raise ValueError("need at least two step sizes")
     h_ref_base = hs[-1] / ref_refine
+    references = {}  # (t_end, m) -> reference state at t_end
     errors = []
     for h in hs:
         n = int(math.floor(T / h + 1e-9))
@@ -124,10 +126,13 @@ def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -
         for _ in range(n):
             xh = step_family(xh, h)
         m = max(1, int(round(t_end / h_ref_base)))
-        h_ref = t_end / m
-        xr = x0
-        for _ in range(m):
-            xr = step_family(xr, h_ref)
+        xr = references.get((t_end, m))
+        if xr is None:
+            h_ref = t_end / m
+            xr = x0
+            for _ in range(m):
+                xr = step_family(xr, h_ref)
+            references[(t_end, m)] = xr
         err = float(np.abs(xh - xr).max())
         if err == 0.0:
             raise ValueError(f"zero error at h = {h}; slope undefined")

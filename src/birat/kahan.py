@@ -55,8 +55,20 @@ def _dense_lu_routines(dtype):
     return sla.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
 
 
-def _solve_step_matrix(M, rhs, tol: float, what: str) -> np.ndarray:
-    """Solve M z = rhs by partial-pivot LU, with a pivot-size singularity check."""
+@lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    """Read-only dense identity of size ``dim``, built once per size."""
+    eye = np.eye(dim)
+    eye.setflags(write=False)
+    return eye
+
+
+def _solve_step_matrix(M, rhs, tol: float, what: str, h: float) -> np.ndarray:
+    """Solve M z = rhs by partial-pivot LU, with a pivot-size singularity check.
+
+    Errors are reported as "<what> at h=<h>: ..."; the text is only built
+    when a solve fails.
+    """
     if sp.issparse(M):
         Mc = M.tocsc()
         scale = np.abs(Mc).max() if Mc.nnz else 0.0
@@ -66,50 +78,50 @@ def _solve_step_matrix(M, rhs, tol: float, what: str) -> np.ndarray:
                 lu = spla.splu(Mc)
                 pivots = np.abs(lu.U.diagonal())
         except RuntimeError as exc:
-            raise SingularStepMatrix(f"{what}: {exc}") from exc
+            raise SingularStepMatrix(f"{what} at h={h}: {exc}") from exc
         if pivots.size == 0 or pivots.min() <= tol * scale:
-            raise SingularStepMatrix(f"{what}: pivot below {tol} of matrix max-norm")
+            raise SingularStepMatrix(f"{what} at h={h}: pivot below {tol} of matrix max-norm")
         return lu.solve(rhs)
     getrf, getrs = _dense_lu_routines(np.result_type(M, rhs))
     lu, piv, info = getrf(M)
     if info < 0:
-        raise ValueError(f"{what}: illegal argument {-info} to getrf")
+        raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrf")
     # info > 0 flags an exactly zero pivot, which the check below rejects
     scale = np.abs(M).max()
-    if np.abs(np.diag(lu)).min() <= tol * scale:
-        raise SingularStepMatrix(f"{what}: pivot below {tol} of matrix max-norm")
+    if np.abs(lu.diagonal()).min() <= tol * scale:
+        raise SingularStepMatrix(f"{what} at h={h}: pivot below {tol} of matrix max-norm")
     z, info = getrs(lu, piv, rhs)
     if info != 0:
-        raise ValueError(f"{what}: illegal argument {-info} to getrs")
+        raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrs")
     return z
+
+
+def _kahan_solve(vf: QuadraticVectorField, x, h: float, cfg: KahanStepConfig,
+                 what: str) -> np.ndarray:
+    """x + h (I - (h/2) f'(x))^{-1} f(x), the body of the forward and inverse steps.
+
+    The inverse step is this map with -h anchored at the arrival point;
+    ``what`` names the step matrix in error messages, which quote ``cfg.h``.
+    """
+    f, J = vf.evaluate_and_jacobian(x)  # checks the state's shape
+    x = np.asarray(x, dtype=float)
+    if vf.is_sparse:
+        M = sp.identity(vf.dim, format="csr") - (0.5 * h) * J
+    else:
+        M = _identity(vf.dim) - (0.5 * h) * J
+    return x + h * _solve_step_matrix(M, f, cfg.singular_tol, what, cfg.h)
 
 
 def kahan_step(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
     """One step of the Kahan map; uses the series solver when configured."""
     if cfg.series_order is not None:
         return kahan_step_series(vf, x, cfg)
-    x = _as_state(x, vf.dim)
-    f = vf.evaluate(x)
-    J = vf.jacobian(x)
-    if sp.issparse(J):
-        M = sp.identity(vf.dim, format="csr") - (0.5 * cfg.h) * J
-    else:
-        M = np.eye(vf.dim) - (0.5 * cfg.h) * J
-    z = _solve_step_matrix(M, f, cfg.singular_tol, f"step matrix at h={cfg.h}")
-    return x + cfg.h * z
+    return _kahan_solve(vf, x, cfg.h, cfg, "step matrix")
 
 
 def kahan_inverse_step(vf: QuadraticVectorField, xt, cfg: KahanStepConfig) -> np.ndarray:
     """Exact inverse of :func:`kahan_step`, anchored at the arrival point xt."""
-    xt = _as_state(xt, vf.dim)
-    f = vf.evaluate(xt)
-    J = vf.jacobian(xt)
-    if sp.issparse(J):
-        M = sp.identity(vf.dim, format="csr") + (0.5 * cfg.h) * J
-    else:
-        M = np.eye(vf.dim) + (0.5 * cfg.h) * J
-    z = _solve_step_matrix(M, f, cfg.singular_tol, f"inverse step matrix at h={cfg.h}")
-    return xt - cfg.h * z
+    return _kahan_solve(vf, xt, -cfg.h, cfg, "inverse step matrix")
 
 
 def kahan_step_series(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
@@ -183,5 +195,5 @@ def map_multipliers_at_fixed_point(
     if sp.issparse(J):
         J = J.toarray()
     M = np.eye(vf.dim) - (0.5 * h) * J
-    X = _solve_step_matrix(M, J, singular_tol, f"fixed-point step matrix at h={h}")
+    X = _solve_step_matrix(M, J, singular_tol, "fixed-point step matrix", h)
     return np.linalg.eigvals(np.eye(vf.dim) + h * X)

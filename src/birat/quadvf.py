@@ -129,6 +129,17 @@ class QuadraticVectorField:
         )
         return self.lin + contrib
 
+    def evaluate_and_jacobian(self, x):
+        """(f(x), f'(x)), bit-identical to :meth:`evaluate` and :meth:`jacobian`.
+
+        Dense fields share the one contraction quad @ x between the two.
+        """
+        x = _as_state(x, self.dim)
+        if self.is_sparse:
+            return self.evaluate(x), self.jacobian(x)
+        qx = self.quad @ x
+        return self.c0 + self.lin @ x + qx @ x, self.lin + 2.0 * qx
+
     def polarized_rhs(self, x, xt) -> np.ndarray:
         """Symmetric bilinear extension Q(x, xt) with Q(x, x) = f(x).
 

@@ -170,6 +170,35 @@ class TestIntegrateRuntimeFailure:
         assert doc["error"]["message"]
 
 
+class TestNonFiniteState:
+    ARGV = ["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
+            "--x0", "8,0.01", "--steps", "400"]
+
+    @staticmethod
+    def assert_finite_tokens(text):
+        tokens = text.replace("[", ",").replace("]", ",").replace("\n", ",").split(",")
+        assert not {"nan", "inf", "-inf"} & {tok.strip() for tok in tokens}
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_csv_stops_at_first_non_finite_state(self):
+        code, out, err = run_cli(self.ARGV)
+        assert code == 2
+        self.assert_finite_tokens(out)
+        assert len(out.splitlines()) == 1 + 11  # header, x0 and ten finite steps
+        assert "integrate: NonFiniteState: " in err
+        assert "(step 11)" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_json_error_trailer(self):
+        code, out, _ = run_cli(self.ARGV + ["--format", "json"])
+        assert code == 2
+        doc = json.loads(out)
+        self.assert_finite_tokens(json.dumps(doc["rows"]))
+        assert len(doc["rows"]) == 11
+        assert doc["error"]["type"] == "NonFiniteState"
+        assert doc["error"]["step"] == 11
+
+
 class TestClassify:
     def test_positive_classification(self):
         code, out, _ = run_cli(["classify", MICKENS])
@@ -244,6 +273,15 @@ class TestConfigFile:
         lines = out.splitlines()
         assert len(lines) == 5
         assert lines[1].split(",")[1] == "1"
+
+    def test_non_finite_x0_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"model": "lv", "method": "kahan", "h": 0.1, "steps": 3,'
+                       ' "x0": [NaN, 1.0]}')
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert "x0" in err
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"

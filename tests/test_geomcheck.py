@@ -144,6 +144,30 @@ class TestConvergenceOrder:
         assert 0.9 < s1 < 1.1
         assert 1.9 < s2 < 2.1
 
+    def test_shared_reference_is_built_once(self):
+        # All four step sizes end at t = 1, so they share one reference run
+        # of m = 1 / (0.0025 / 64) = 25600 steps.
+        vf = lv_vf()
+        hs = [0.02, 0.01, 0.005, 0.0025]
+        calls = []
+
+        def family(state, h):
+            calls.append(h)
+            return kahan_step(vf, state, KahanStepConfig(h=h))
+
+        slope = convergence_order(family, [2.0, 0.5], 1.0, hs)
+        assert len(calls) == (50 + 100 + 200 + 400) + 25600
+
+        def run(h, n):
+            x = np.array([2.0, 0.5])
+            for _ in range(n):
+                x = kahan_step(vf, x, KahanStepConfig(h=h))
+            return x
+
+        ref = run(1.0 / 25600, 25600)
+        errors = [float(np.abs(run(h, round(1.0 / h)) - ref).max()) for h in hs]
+        assert slope == float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
+
     def test_zero_error_raises(self):
         with pytest.raises(ValueError):
             convergence_order(lambda s, h: np.asarray(s), [1.0], 1.0, [0.2, 0.1])

@@ -1,6 +1,9 @@
 """Polarized one-step map: explicit solve, inverse, series, multipliers."""
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from birat.errors import (
@@ -42,6 +45,20 @@ def pure_linear_vf():
 
 
 ENZ3 = DimensionlessEnzymeParams(mu=0.5, nu=0.6, eps=1e-2)
+
+
+@st.composite
+def dense_fields_states_steps(draw, max_dim=4):
+    # Coefficients and states in [-1, 1] and |h| <= 0.02 keep (h/2)|f'| below
+    # 0.61 in the row-sum norm at both ends of a step, so both step matrices
+    # are well conditioned and a round trip loses only rounding.
+    dim = draw(st.integers(1, max_dim))
+    unit = st.floats(-1.0, 1.0, allow_nan=False)
+    vf = QuadraticVectorField(draw(arrays(float, dim, elements=unit)),
+                              draw(arrays(float, (dim, dim), elements=unit)),
+                              draw(arrays(float, (dim, dim, dim), elements=unit)))
+    h = draw(st.floats(1e-3, 0.02)) * draw(st.sampled_from([1.0, -1.0]))
+    return vf, draw(arrays(float, dim, elements=unit)), h
 
 
 class TestConfig:
@@ -89,6 +106,13 @@ class TestStep:
                     back = kahan_inverse_step(vf, kahan_step(vf, x, cfg), cfg)
                     assert np.abs(back - x).max() < 1e-11
 
+    @given(dense_fields_states_steps())
+    def test_roundtrip_random_dense_fields(self, case):
+        vf, x, h = case
+        cfg = KahanStepConfig(h=h)
+        back = kahan_inverse_step(vf, kahan_step(vf, x, cfg), cfg)
+        assert np.abs(back - x).max() <= 1e-14
+
     def test_inverse_is_backward_step(self):
         # Inverting equals stepping with -h.
         vf = lv_vf()
@@ -101,6 +125,13 @@ class TestStep:
     def test_singular_step_matrix(self):
         with pytest.raises(SingularStepMatrix):
             kahan_step(pure_linear_vf(), [1.0], KahanStepConfig(h=2.0))
+
+    def test_singular_messages_name_the_step(self):
+        with pytest.raises(SingularStepMatrix, match=r"^step matrix at h=2\.0: pivot"):
+            kahan_step(pure_linear_vf(), [1.0], KahanStepConfig(h=2.0))
+        with pytest.raises(SingularStepMatrix,
+                           match=r"^inverse step matrix at h=-2\.0: pivot"):
+            kahan_inverse_step(pure_linear_vf(), [1.0], KahanStepConfig(h=-2.0))
 
     def test_singular_step_matrix_sparse(self):
         dim = 40

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from birat.errors import DimensionMismatch
 from birat.models import enzyme_vf, lv_vf, EnzymeParams
@@ -13,6 +14,16 @@ from birat.quadvf import DENSE_DIM_LIMIT, QuadraticVectorField
 states2 = st.lists(
     st.floats(-3, 3, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
 ).map(np.array)
+
+
+@st.composite
+def dense_fields_and_states(draw, max_dim=4):
+    dim = draw(st.integers(1, max_dim))
+    coeffs = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+    vf = QuadraticVectorField(draw(arrays(float, dim, elements=coeffs)),
+                              draw(arrays(float, (dim, dim), elements=coeffs)),
+                              draw(arrays(float, (dim, dim, dim), elements=coeffs)))
+    return vf, draw(arrays(float, dim, elements=coeffs))
 
 
 def hand_field():
@@ -62,6 +73,17 @@ class TestEvaluate:
             for _ in range(5):
                 x = rng.uniform(0.1, 2.0, vf.dim)
                 assert vf.jacobian(x) == pytest.approx(fd_jacobian(vf, x), abs=1e-7)
+
+    @given(dense_fields_and_states())
+    def test_fused_matches_evaluate_and_jacobian_bitwise(self, field_and_state):
+        vf, x = field_and_state
+        f, J = vf.evaluate_and_jacobian(x)
+        assert f.tobytes() == vf.evaluate(x).tobytes()
+        assert J.tobytes() == vf.jacobian(x).tobytes()
+
+    def test_fused_checks_dimension(self):
+        with pytest.raises(DimensionMismatch):
+            hand_field().evaluate_and_jacobian([1.0, 2.0, 3.0])
 
     def test_nonsymmetric_input_is_symmetrized(self):
         # v x0 x1 supplied once must equal v/2 x0 x1 + v/2 x1 x0.
@@ -134,6 +156,9 @@ class TestSparse:
             xt = rng.normal(size=dim)
             assert sparse.polarized_rhs(x, xt) == pytest.approx(
                 dense.polarized_rhs(x, xt), rel=1e-12, abs=1e-12)
+            f, J = sparse.evaluate_and_jacobian(x)
+            assert f.tobytes() == sparse.evaluate(x).tobytes()
+            assert (J != js).nnz == 0
 
     def test_small_dims_default_dense(self):
         assert not lv_vf().is_sparse
