@@ -99,6 +99,15 @@ def _parse_float(text: str, what: str) -> float:
         raise ConfigError(f"{what}: cannot parse {text!r} as a number") from exc
 
 
+def _config_float(value, what: str) -> float:
+    """A JSON number as is, a string as a rational; any other type is rejected."""
+    if isinstance(value, str):
+        return _parse_float(value, what)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{what}: expected a number, got {value!r}")
+
+
 def _parse_state(text: str, what: str) -> list[float]:
     return [_parse_float(tok, what) for tok in text.split(",")]
 
@@ -124,7 +133,6 @@ class RunConfig:
     scheme: list[Fraction] | None = None
     output: str | None = None
     format: str = "csv"
-    seed: int = 0
     tol: float = 1e-9
 
 
@@ -137,7 +145,7 @@ def _build_run_config(args) -> RunConfig:
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"config: {exc}") from exc
     for key in ("model", "method", "h", "steps", "x0", "params",
-                "output", "format", "seed", "tol"):
+                "output", "format", "tol"):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -177,8 +185,7 @@ def _build_run_config(args) -> RunConfig:
         steps=steps,
         output=merged.get("output"),
         format=fmt,
-        seed=int(merged.get("seed", 0)),
-        tol=float(merged.get("tol", 1e-9)),
+        tol=_config_float(merged.get("tol", 1e-9), "tol"),
     )
 
     params_raw = merged.get("params")
@@ -217,8 +224,11 @@ def _build_run_config(args) -> RunConfig:
     if x0_raw is not None:
         if isinstance(x0_raw, str):
             cfg.x0 = _parse_state(x0_raw, "x0")
+        elif isinstance(x0_raw, list):
+            cfg.x0 = [_config_float(v, "x0") for v in x0_raw]
         else:
-            cfg.x0 = [float(v) for v in x0_raw]
+            raise ConfigError(f"x0: expected a list or a comma-separated string,"
+                              f" got {x0_raw!r}")
         if not all(map(math.isfinite, cfg.x0)):
             raise ConfigError("x0: components must be finite")
     return cfg
@@ -347,18 +357,21 @@ def cmd_integrate(args) -> int:
     row = _row_template(cfg.format, len(names)).format
     rows = [row(0.0, *state.tolist())]
     error = None
-    for k in range(cfg.steps):
-        try:
-            state = stepper(state)
-            values = state.tolist()
-            if not all(map(math.isfinite, values)):
-                bad = [n for n, v in zip(names, values) if not math.isfinite(v)]
-                raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
-        except BiratError as exc:
-            error = {"step": k + 1, "type": type(exc).__name__, "message": str(exc)}
-            log.error("map failure at step %d: %s", k + 1, exc)
-            break
-        rows.append(row((k + 1) * cfg.h, *values))
+    # an overflowing state is reported once, as NonFiniteState, not also as
+    # numpy RuntimeWarnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(cfg.steps):
+            try:
+                state = stepper(state)
+                values = state.tolist()
+                if not all(map(math.isfinite, values)):
+                    bad = [n for n, v in zip(names, values) if not math.isfinite(v)]
+                    raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
+            except BiratError as exc:
+                error = {"step": k + 1, "type": type(exc).__name__, "message": str(exc)}
+                log.error("map failure at step %d: %s", k + 1, exc)
+                break
+            rows.append(row((k + 1) * cfg.h, *values))
     _emit_trajectory(cfg, names, rows, error)
     return EXIT_RUNTIME if error is not None else EXIT_OK
 
@@ -556,8 +569,7 @@ def build_parser() -> _Parser:
     p_int.add_argument("--x0")
     p_int.add_argument("--output", "-o")
     p_int.add_argument("--format", choices=("csv", "json"))
-    p_int.add_argument("--seed", type=int)
-    p_int.add_argument("--tol", type=float)
+    p_int.add_argument("--tol")
     p_int.add_argument("--config")
     p_int.set_defaults(func=cmd_integrate)
 

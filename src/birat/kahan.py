@@ -6,19 +6,16 @@ polarized right-hand side; solving the linear system gives the one-step map
     xt = x + h (I - (h/2) f'(x))^{-1} f(x)
 
 and its inverse replaces h by -h around the arrival point.  A truncated
-geometric series for the resolvent is available for large sparse systems.
+geometric series for the resolvent gives an explicit step of any order, with
+the explicit Euler step at order zero.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import NotASteadyState, PoleAtTwoOverH, SingularStepMatrix
 from .quadvf import QuadraticVectorField, _as_state
@@ -50,8 +47,14 @@ class KahanStepConfig:
 
 @lru_cache(maxsize=None)
 def _dense_lu_routines(dtype):
-    """LAPACK getrf/getrs for ``dtype``, the routines behind ``sla.lu_factor``
-    and ``sla.lu_solve``, looked up once instead of on every step."""
+    """LAPACK getrf/getrs for ``dtype``, the routines behind ``scipy.linalg``'s
+    ``lu_factor`` and ``lu_solve``, looked up once instead of on every step.
+
+    scipy is imported here, at the first solve, so that ``import birat`` and
+    the paths that never solve a step matrix do not load it.
+    """
+    import scipy.linalg as sla
+
     return sla.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
 
 
@@ -69,19 +72,6 @@ def _solve_step_matrix(M, rhs, tol: float, what: str, h: float) -> np.ndarray:
     Errors are reported as "<what> at h=<h>: ..."; the text is only built
     when a solve fails.
     """
-    if sp.issparse(M):
-        Mc = M.tocsc()
-        scale = np.abs(Mc).max() if Mc.nnz else 0.0
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                lu = spla.splu(Mc)
-                pivots = np.abs(lu.U.diagonal())
-        except RuntimeError as exc:
-            raise SingularStepMatrix(f"{what} at h={h}: {exc}") from exc
-        if pivots.size == 0 or pivots.min() <= tol * scale:
-            raise SingularStepMatrix(f"{what} at h={h}: pivot below {tol} of matrix max-norm")
-        return lu.solve(rhs)
     getrf, getrs = _dense_lu_routines(np.result_type(M, rhs))
     lu, piv, info = getrf(M)
     if info < 0:
@@ -105,10 +95,7 @@ def _kahan_solve(vf: QuadraticVectorField, x, h: float, cfg: KahanStepConfig,
     """
     f, J = vf.evaluate_and_jacobian(x)  # checks the state's shape
     x = np.asarray(x, dtype=float)
-    if vf.is_sparse:
-        M = sp.identity(vf.dim, format="csr") - (0.5 * h) * J
-    else:
-        M = _identity(vf.dim) - (0.5 * h) * J
+    M = _identity(vf.dim) - (0.5 * h) * J
     return x + h * _solve_step_matrix(M, f, cfg.singular_tol, what, cfg.h)
 
 
@@ -192,8 +179,6 @@ def map_multipliers_at_fixed_point(
     if defect > steady_tol:
         raise NotASteadyState(f"|f(x*)| = {defect:.3e} exceeds {steady_tol}")
     J = vf.jacobian(xstar)
-    if sp.issparse(J):
-        J = J.toarray()
     M = np.eye(vf.dim) - (0.5 * h) * J
     X = _solve_step_matrix(M, J, singular_tol, "fixed-point step matrix", h)
     return np.linalg.eigvals(np.eye(vf.dim) + h * X)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -179,7 +180,6 @@ class TestNonFiniteState:
         tokens = text.replace("[", ",").replace("]", ",").replace("\n", ",").split(",")
         assert not {"nan", "inf", "-inf"} & {tok.strip() for tok in tokens}
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_csv_stops_at_first_non_finite_state(self):
         code, out, err = run_cli(self.ARGV)
         assert code == 2
@@ -188,7 +188,6 @@ class TestNonFiniteState:
         assert "integrate: NonFiniteState: " in err
         assert "(step 11)" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_json_error_trailer(self):
         code, out, _ = run_cli(self.ARGV + ["--format", "json"])
         assert code == 2
@@ -197,6 +196,14 @@ class TestNonFiniteState:
         assert len(doc["rows"]) == 11
         assert doc["error"]["type"] == "NonFiniteState"
         assert doc["error"]["step"] == 11
+
+    def test_overflow_raises_no_numpy_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(self.ARGV)
+        assert code == 2
+        assert len(out.splitlines()) == 1 + 11
+        assert err == "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
 
 
 class TestClassify:
@@ -283,6 +290,35 @@ class TestConfigFile:
         assert out == ""
         assert "x0" in err
 
+    def test_rational_x0_string(self, tmp_path):
+        outs = []
+        for x0 in (["1/2", 1], [0.5, 1]):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
+                                       "h": 0.1, "steps": 3, "x0": x0}))
+            code, out, _ = run_cli(["integrate", "--config", str(cfg)])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert outs[0].splitlines()[1] == "0,0.5,1"
+
+    def test_unparsable_tol_named(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
+                                   "h": 0.1, "steps": 3, "tol": "tight"}))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert "error: tol: cannot parse 'tight' as a number" in err
+
+    def test_tol_flag_takes_rationals(self):
+        argv = ["integrate", "--model", "lv", "--method", "lv-family", "--params",
+                MICKENS, "--h", "0.1", "--steps", "5"]
+        code_rat, out_rat, _ = run_cli(argv + ["--tol", "1/1000000000"])
+        code_dec, out_dec, _ = run_cli(argv + ["--tol", "1e-9"])
+        assert code_rat == code_dec == 0
+        assert out_rat == out_dec
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
@@ -290,6 +326,28 @@ class TestConfigFile:
         code, out, _ = run_cli(["integrate", "--config", str(cfg), "--steps", "6"])
         assert code == 0
         assert len(out.splitlines()) == 8
+
+
+class TestScipyNotLoaded:
+    """scipy loads at the first step-matrix solve, not at ``import birat``."""
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["classify", MICKENS, "--certify"],
+        ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+         "--h", "0.1", "--steps", "5"],
+    ], ids=["import", "classify-certify", "integrate-lv-family"])
+    def test_scipy_absent(self, argv):
+        code = ("import contextlib, io, sys\n"
+                "import birat\n"
+                "from birat.cli import main\n"
+                f"argv = {argv!r}\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = main(argv) if argv else 0\n"
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 []\n"
 
 
 class TestSubprocessLogging:

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from birat.errors import DimensionMismatch
 from birat.models import enzyme_vf, lv_vf, EnzymeParams
-from birat.quadvf import DENSE_DIM_LIMIT, QuadraticVectorField
+from birat.quadvf import QuadraticVectorField
 
 states2 = st.lists(
     st.floats(-3, 3, allow_nan=False, allow_infinity=False), min_size=2, max_size=2
@@ -132,33 +132,3 @@ class TestSerialization:
         for i, j, k, _ in data["quad"]:
             assert j <= k
 
-
-class TestSparse:
-    def test_sparse_dense_twin(self):
-        rng = np.random.default_rng(3)
-        dim = DENSE_DIM_LIMIT + 8
-        lin = [(int(i), int(j), float(v)) for i, j, v in
-               zip(rng.integers(0, dim, 60), rng.integers(0, dim, 60),
-                   rng.normal(size=60))]
-        quad = [(int(i), int(j), int(k), float(v)) for i, j, k, v in
-                zip(rng.integers(0, dim, 60), rng.integers(0, dim, 60),
-                    rng.integers(0, dim, 60), rng.normal(size=60))]
-        c0 = rng.normal(size=dim)
-        dense = QuadraticVectorField.from_triplets(dim, c0, lin, quad, sparse=False)
-        sparse = QuadraticVectorField.from_triplets(dim, c0, lin, quad, sparse=True)
-        auto = QuadraticVectorField.from_triplets(dim, c0, lin, quad)
-        assert auto.is_sparse
-        for _ in range(5):
-            x = rng.normal(size=dim)
-            assert sparse.evaluate(x) == pytest.approx(dense.evaluate(x), rel=1e-12, abs=1e-12)
-            js = sparse.jacobian(x)
-            assert js.toarray() == pytest.approx(dense.jacobian(x), rel=1e-12, abs=1e-12)
-            xt = rng.normal(size=dim)
-            assert sparse.polarized_rhs(x, xt) == pytest.approx(
-                dense.polarized_rhs(x, xt), rel=1e-12, abs=1e-12)
-            f, J = sparse.evaluate_and_jacobian(x)
-            assert f.tobytes() == sparse.evaluate(x).tobytes()
-            assert (J != js).nnz == 0
-
-    def test_small_dims_default_dense(self):
-        assert not lv_vf().is_sparse
