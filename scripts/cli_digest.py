@@ -1,0 +1,70 @@
+#!/usr/bin/env python3
+"""Digest the output of a fixed set of birat CLI runs, to compare two checkouts byte for byte.
+
+Each run is `python -m birat.cli <argv>` in a child process, with the `src`
+directory of the chosen checkout on PYTHONPATH. One line per run is printed:
+the exit code, the sha256 of stdout, the sha256 of stderr and the argv. Run
+the script once per checkout and diff the two listings:
+
+    python3 scripts/cli_digest.py --root /path/to/a > a.txt
+    python3 scripts/cli_digest.py --root /path/to/b > b.txt
+    diff a.txt b.txt
+
+The set covers `verify` (all suites at two seeds, each suite alone),
+`integrate` in CSV and JSON for every model and method pairing, and two runs
+that stop at a typed map failure.
+"""
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+MICKENS = "2,0,0,0,1,0,0,-1,0,2"
+SUITES = ("conservation", "symplectic", "roundtrip", "convergence", "multipliers")
+INTEGRATE = (
+    ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3"],
+    ["--model", "enzyme4", "--method", "kahan", "--h", "1e-2"],
+    ["--model", "lv", "--method", "kahan", "--h", "0.01"],
+    ["--model", "lv", "--method", "kahan-series:2", "--h", "0.01"],
+    ["--model", "lv", "--method", "euler", "--h", "0.01"],
+    ["--model", "lv", "--method", "lv-family", "--params", MICKENS, "--h", "0.01"],
+    ["--model", "schnakenberg", "--method", "schnakenberg", "--h", "0.01"],
+    ["--model", "schnakenberg", "--method", "euler", "--h", "0.01"],
+)
+
+
+def runs() -> list[list[str]]:
+    out = [["verify", "all", "--seed", "7"], ["verify", "all", "--seed", "1"]]
+    out += [["verify", suite] for suite in SUITES]
+    out += [["integrate", *spec, "--steps", "20000", "--format", fmt]
+            for spec in INTEGRATE for fmt in ("csv", "json")]
+    # SingularStepMatrix at step 31, NonFiniteState at step 11
+    out.append(["integrate", "--model", "lv", "--method", "kahan", "--h", "3",
+                "--steps", "100"])
+    out.append(["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
+                "--x0", "8,0.01", "--steps", "400"])
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                    help="checkout whose src/ is run (default: this script's checkout)")
+    args = ap.parse_args(argv)
+    src = args.root.resolve() / "src"
+    if not (src / "birat" / "__init__.py").is_file():
+        print(f"cli_digest: no birat sources under {src}", file=sys.stderr)
+        return 1
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for run in runs():
+        proc = subprocess.run([sys.executable, "-m", "birat.cli", *run],
+                              capture_output=True, env=env, cwd=args.root)
+        print(proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+              hashlib.sha256(proc.stderr).hexdigest(), " ".join(run), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

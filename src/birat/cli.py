@@ -108,6 +108,20 @@ def _config_float(value, what: str) -> float:
     raise ConfigError(f"{what}: expected a number, got {value!r}")
 
 
+def _config_int(value, what: str) -> int:
+    """A JSON integer, an integral JSON float or an integer string; nothing else."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{what}: expected an integer, got {value!r}")
+
+
 def _parse_state(text: str, what: str) -> list[float]:
     return [_parse_float(tok, what) for tok in text.split(",")]
 
@@ -167,10 +181,7 @@ def _build_run_config(args) -> RunConfig:
     steps_raw = merged.get("steps")
     if steps_raw is None:
         raise ConfigError("steps: required")
-    try:
-        steps = int(steps_raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"steps: not an integer: {steps_raw!r}") from exc
+    steps = _config_int(steps_raw, "steps")
     if steps < 1:
         raise ConfigError("steps: must be >= 1")
 
@@ -536,6 +547,17 @@ SUITES = {
 }
 
 
+def _run_suite(name: str, seed: int, tol: float) -> list[dict]:
+    """One suite's checks; module level so a worker process can run it by name."""
+    return SUITES[name](seed, tol)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     if args.suite == "all":
         names = list(SUITES)
@@ -545,11 +567,27 @@ def cmd_verify(args) -> int:
         print(f"verify: unknown suite {args.suite!r}; choose from"
               f" {', '.join([*SUITES, 'all'])}", file=sys.stderr)
         return EXIT_CONFIG
-    checks = []
-    for name in names:
-        checks.extend(SUITES[name](args.seed, args.tol))
+    tol = _parse_float(args.tol, "tol")
+    workers = min(len(names), _usable_cpus())
+    if workers > 1:
+        # The suites share no state, so each runs whole in one worker; pool.map
+        # hands results back in SUITES order and the report is built as below.
+        # Imported here so that import birat, integrate and classify do not
+        # load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            results = list(pool.map(_run_suite, names, [args.seed] * len(names),
+                                    [tol] * len(names)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        # a one-worker pool costs about 0.1 s and overlaps nothing
+        results = [_run_suite(name, args.seed, tol) for name in names]
+    checks = [check for result in results for check in result]
     passed = all(c["passed"] for c in checks)
-    print(json.dumps({"suite": args.suite, "seed": args.seed, "tol": args.tol,
+    print(json.dumps({"suite": args.suite, "seed": args.seed, "tol": tol,
                       "checks": checks, "passed": passed}, indent=2))
     return EXIT_OK if passed else EXIT_RUNTIME
 
@@ -583,7 +621,7 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help=f"one of {', '.join([*SUITES, 'all'])}")
     p_ver.add_argument("--seed", type=int, default=7)
-    p_ver.add_argument("--tol", type=float, default=1e-9)
+    p_ver.add_argument("--tol", default="1e-9")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

@@ -1,18 +1,27 @@
 """End-to-end command-line behavior: output formats, exit codes, suites."""
+import concurrent.futures
 import contextlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
 
+from birat import cli
 from birat.cli import main
+from birat.errors import SingularStepMatrix
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
 QUARTERS = ",".join(["1/4"] * 10)
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a worker sees a monkeypatched suite only when forked from this process")
 
 
 def run_cli(argv):
@@ -269,6 +278,82 @@ class TestVerify:
         assert code == 1
         assert "unknown suite" in err
 
+    def test_all_matches_in_process_run(self):
+        code, out, _ = run_cli(["verify", "all", "--seed", "7"])
+        checks = [c for name in cli.SUITES for c in cli.SUITES[name](7, 1e-9)]
+        expected = json.dumps({"suite": "all", "seed": 7, "tol": 1e-9, "checks": checks,
+                               "passed": all(c["passed"] for c in checks)}, indent=2)
+        assert code == 0
+        assert out == expected + "\n"
+        assert '"tol": 1e-09,' in out
+
+    @fork_only
+    def test_worker_error_exits_2(self, monkeypatch):
+        def boom(seed, tol):
+            raise SingularStepMatrix("boom")
+
+        monkeypatch.setitem(cli.SUITES, "roundtrip", boom)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the pool path, even on one CPU
+        code, out, err = run_cli(["verify", "all"])
+        assert code == 2
+        assert out == ""
+        assert err == "birat: SingularStepMatrix: boom\n"
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _pid_suites(names, pause):
+        def make(name):
+            def suite(seed, tol):
+                time.sleep(pause)
+                return [{"name": name, "value": os.getpid(), "threshold": 0, "passed": True}]
+            return suite
+        return {name: make(name) for name in names}
+
+    @fork_only
+    def test_suites_come_back_in_order_from_workers(self, monkeypatch):
+        monkeypatch.setattr(cli, "SUITES", self._pid_suites(["c", "a", "b"], 0.2))
+        code, out, _ = run_cli(["verify", "all"])
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        assert [c["name"] for c in checks] == ["c", "a", "b"]
+        assert multiprocessing.active_children() == []  # the pool is shut down
+        if cli._usable_cpus() >= 2:
+            pids = {c["value"] for c in checks}
+            assert len(pids) >= 2
+            assert os.getpid() not in pids
+
+    @staticmethod
+    def _forbid_pool(monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("expected an in-process run, not a worker pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+    def test_single_suite_starts_no_worker(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
+        code, out, _ = run_cli(["verify", "symplectic"])
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+    def test_one_usable_cpu_runs_in_process(self, monkeypatch):
+        self._forbid_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli, "SUITES", self._pid_suites(["a", "b"], 0))
+        code, out, _ = run_cli(["verify", "all"])
+        assert code == 0
+        assert [c["value"] for c in json.loads(out)["checks"]] == [os.getpid()] * 2
+
+    def test_tol_takes_rationals(self):
+        code, out, _ = run_cli(["verify", "roundtrip", "--tol", "1/2"])
+        assert code == 0
+        assert '"tol": 0.5,' in out
+
+    def test_unparsable_tol_named(self):
+        code, out, err = run_cli(["verify", "roundtrip", "--tol", "tight"])
+        assert code == 1
+        assert out == ""
+        assert "error: tol: cannot parse 'tight' as a number" in err
+
 
 class TestConfigFile:
     def test_config_alone(self, tmp_path):
@@ -310,6 +395,28 @@ class TestConfigFile:
         assert code == 1
         assert out == ""
         assert "error: tol: cannot parse 'tight' as a number" in err
+
+    @pytest.mark.parametrize("steps", [2.7, True, "ten"])
+    def test_non_integral_steps_rejected(self, tmp_path, steps):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
+                                   "h": 0.01, "steps": steps}))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert code == 1
+        assert out == ""
+        assert f"error: steps: expected an integer, got {steps!r}" in err
+
+    def test_integral_steps_accepted(self, tmp_path):
+        outs = []
+        for steps in (3, 3.0, "3"):
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
+                                       "h": 0.1, "steps": steps}))
+            code, out, _ = run_cli(["integrate", "--config", str(cfg)])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1] == outs[2]
+        assert len(outs[0].splitlines()) == 5
 
     def test_tol_flag_takes_rationals(self):
         argv = ["integrate", "--model", "lv", "--method", "lv-family", "--params",
