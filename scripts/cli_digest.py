@@ -11,8 +11,9 @@ the script once per checkout and diff the two listings:
     diff a.txt b.txt
 
 The set covers `verify` (all suites at two seeds, each suite alone),
-`integrate` in CSV and JSON for every model and method pairing, and two runs
-that stop at a typed map failure.
+`integrate` in CSV and JSON for every model and method pairing, two runs
+that stop at a typed map failure, and `classify --certify` on the Kahan,
+Mickens and case-VI schemes and on the all-1/4 set, which is not certified.
 """
 import argparse
 import hashlib
@@ -33,6 +34,12 @@ INTEGRATE = (
     ["--model", "schnakenberg", "--method", "schnakenberg", "--h", "0.01"],
     ["--model", "schnakenberg", "--method", "euler", "--h", "0.01"],
 )
+CERTIFY = (
+    "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2",  # KAHAN_SCHEME
+    MICKENS,  # MICKENS_SCHEME
+    "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0",  # CASE_VI_SCHEME
+    ",".join(["1/4"] * 10),  # NOT_CERTIFIED
+)
 
 
 def runs() -> list[list[str]]:
@@ -45,6 +52,7 @@ def runs() -> list[list[str]]:
                 "--steps", "100"])
     out.append(["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
                 "--x0", "8,0.01", "--steps", "400"])
+    out += [["classify", params, "--certify"] for params in CERTIFY]
     return out
 
 

@@ -567,6 +567,8 @@ def cmd_verify(args) -> int:
         print(f"verify: unknown suite {args.suite!r}; choose from"
               f" {', '.join([*SUITES, 'all'])}", file=sys.stderr)
         return EXIT_CONFIG
+    if args.seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {args.seed}")
     tol = _parse_float(args.tol, "tol")
     workers = min(len(names), _usable_cpus())
     if workers > 1:

@@ -154,8 +154,6 @@ def multiplier_agreement(map_jacobian, vf, xstar, h: float, steady_tol: float = 
     if np.abs(f).max() > steady_tol:
         raise NotASteadyState(f"|f(x*)| = {np.abs(f).max():.3e} exceeds {steady_tol}")
     J = vf.jacobian(xstar)
-    if hasattr(J, "toarray"):
-        J = J.toarray()
     predicted = [multiplier_of_eigenvalue(lam, h) for lam in np.linalg.eigvals(J)]
     observed = list(np.linalg.eigvals(np.asarray(map_jacobian, dtype=float)))
     worst = 0.0

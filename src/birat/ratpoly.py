@@ -40,6 +40,14 @@ def _sqrt_fraction(q: Fraction) -> Fraction | None:
     return Fraction(rn, rd)
 
 
+def _integer_numerators(terms) -> tuple[int, list[tuple[tuple[int, int, int], int]]]:
+    """(d, [(key, coeff * d)]) with d the lcm of the coefficient denominators."""
+    d = 1
+    for coeff in terms.values():
+        d = math.lcm(d, coeff.denominator)
+    return d, [(key, coeff.numerator * (d // coeff.denominator)) for key, coeff in terms.items()]
+
+
 class MultiPoly:
     """Sparse polynomial over Q in x, y, h."""
 
@@ -58,6 +66,14 @@ class MultiPoly:
         self.terms = clean
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _raw(cls, terms: dict) -> "MultiPoly":
+        """Trusted constructor for ring results: keys are already exponent
+        triples and values already Fractions, so only zero terms are dropped."""
+        poly = object.__new__(cls)
+        poly.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        return poly
 
     @classmethod
     def zero(cls) -> "MultiPoly":
@@ -84,16 +100,20 @@ class MultiPoly:
         other = self._coerce(other)
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + coeff
-        return MultiPoly(out)
+            out[key] = out.get(key, 0) + coeff
+        return MultiPoly._raw(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly({key: -coeff for key, coeff in self.terms.items()})
+        return MultiPoly._raw({key: -coeff for key, coeff in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        out = dict(self.terms)
+        for key, coeff in other.terms.items():
+            out[key] = out.get(key, 0) - coeff
+        return MultiPoly._raw(out)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -103,13 +123,19 @@ class MultiPoly:
             scalar = _as_fraction(other)
             if scalar == 0:
                 return MultiPoly.zero()
-            return MultiPoly({key: coeff * scalar for key, coeff in self.terms.items()})
-        out: dict[tuple[int, int, int], Fraction] = {}
-        for (ax, ay, ah), ac in self.terms.items():
-            for (bx, by, bh), bc in other.terms.items():
+            return MultiPoly._raw({key: coeff * scalar for key, coeff in self.terms.items()})
+        # Multiply integer numerators over each side's common denominator and
+        # divide once per output term: one Fraction normalisation per term
+        # instead of one per product and per partial sum.
+        da, a_terms = _integer_numerators(self.terms)
+        db, b_terms = _integer_numerators(other.terms)
+        acc: dict[tuple[int, int, int], int] = {}
+        for (ax, ay, ah), an in a_terms:
+            for (bx, by, bh), bn in b_terms:
                 key = (ax + bx, ay + by, ah + bh)
-                out[key] = out.get(key, Fraction(0)) + ac * bc
-        return MultiPoly(out)
+                acc[key] = acc.get(key, 0) + an * bn
+        den = da * db
+        return MultiPoly._raw({key: Fraction(n, den) for key, n in acc.items() if n})
 
     __rmul__ = __mul__
 
@@ -175,7 +201,7 @@ class MultiPoly:
 
     def negate_h(self) -> "MultiPoly":
         """Substitute h -> -h."""
-        return MultiPoly(
+        return MultiPoly._raw(
             {key: -coeff if key[2] % 2 else coeff for key, coeff in self.terms.items()}
         )
 

@@ -354,6 +354,24 @@ class TestVerify:
         assert out == ""
         assert "error: tol: cannot parse 'tight' as a number" in err
 
+    @pytest.mark.parametrize("suite", ["roundtrip", "all"])
+    def test_negative_seed_is_config_error(self, suite, monkeypatch):
+        proc = subprocess.run([sys.executable, "-m", "birat.cli", "verify", suite,
+                               "--seed", "-1"], capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("birat: error: seed: ")
+        # on the pool path too, the seed is refused before any worker starts
+        self._forbid_pool(monkeypatch)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        code, out, err = run_cli(["verify", suite, "--seed", "-1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("birat: error: seed: ")
+        assert multiprocessing.active_children() == []
+
 
 class TestConfigFile:
     def test_config_alone(self, tmp_path):

@@ -1,4 +1,6 @@
 """Ten-parameter bilinear predator-prey family: steps, cases, certificates."""
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -245,6 +247,20 @@ class TestCertificates:
         assert data["symplectic_cases"] == ["I"]
         assert data["sympcon"] is True
         assert data["certificate"]["verdict"] == BIRATIONAL
+
+    # sha256 of the certificate JSON below: any change to a rendered
+    # certificate, or to the seeded draw of parameter sets, moves it.
+    CERTIFICATE_SHA256 = "4c602c1c287c94a5462b2b5258c8dd3713c5f7ced7af71ed8b7d3e9feee90836"
+
+    def test_certificate_bytes_pinned(self):
+        rng = random.Random(2014)
+        sets = [random_case_params(label, rng) for label in CASE_LABELS]
+        sets += [random_noncase_params(rng) for _ in range(4)]
+        digest = hashlib.sha256()
+        for p in sets:
+            doc = classify_params(p, certify=True).to_json_dict()
+            digest.update(json.dumps(doc, sort_keys=True).encode())
+        assert digest.hexdigest() == self.CERTIFICATE_SHA256
 
 
 class TestHamiltonian:

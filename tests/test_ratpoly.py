@@ -16,6 +16,45 @@ coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 exponents = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2))
 polys = st.dictionaries(exponents, coeffs, max_size=5).map(MultiPoly)
 
+# Mixed denominators up to 12 and a small exponent box, so that products and
+# sums often land on the same monomial.
+wide_coeffs = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+wide_exponents = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+wide_polys = st.dictionaries(wide_exponents, wide_coeffs, max_size=8).map(MultiPoly)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """(p, q) where q carries the negatives of some of p's terms."""
+    p = draw(wide_polys)
+    keys = draw(st.lists(st.sampled_from(sorted(p.terms)), unique=True)) if p.terms else []
+    extra = draw(st.dictionaries(wide_exponents, wide_coeffs, max_size=4))
+    extra.update({key: -p.terms[key] for key in keys})
+    return p, MultiPoly(extra)
+
+
+def schoolbook(op, a, b):
+    """Reference +, - and * on plain {exponents: Fraction} dicts, one term at a time."""
+    out = {}
+    if op == "*":
+        for ka, ca in a.items():
+            for kb, cb in b.items():
+                key = (ka[0] + kb[0], ka[1] + kb[1], ka[2] + kb[2])
+                out[key] = out.get(key, Fraction(0)) + ca * cb
+    else:
+        out = dict(a)
+        for key, cb in b.items():
+            out[key] = out.get(key, Fraction(0)) + (cb if op == "+" else -cb)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def assert_canonical(p):
+    for key, coeff in p.terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        assert type(key) is tuple and len(key) == 3
+        assert all(type(e) is int and e >= 0 for e in key)
+    assert MultiPoly(p.terms) == p
+
 
 class TestRing:
     @given(polys, polys, polys)
@@ -64,6 +103,49 @@ class TestRing:
     def test_float_coefficient_rejected(self):
         with pytest.raises(TypeError):
             MultiPoly({(1, 0, 0): 0.5})
+        with pytest.raises(TypeError):
+            MultiPoly({(1, 0, 0): 1 + 0j})
+
+
+class TestRingKernel:
+    """The ring operations against a schoolbook Fraction reference."""
+
+    OPS = {"+": lambda p, q: p + q, "-": lambda p, q: p - q, "*": lambda p, q: p * q}
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(OPS)), st.one_of(st.tuples(polys, polys),
+                                                   st.tuples(wide_polys, wide_polys),
+                                                   cancelling_pairs()))
+    def test_matches_schoolbook(self, op, pair):
+        p, q = pair
+        result = self.OPS[op](p, q)
+        assert result.terms == schoolbook(op, p.terms, q.terms)
+        assert_canonical(result)
+
+    @given(st.one_of(polys, wide_polys), st.one_of(wide_coeffs, st.integers(-5, 5)))
+    def test_scalar_product(self, p, scalar):
+        expected = {key: c * scalar for key, c in p.terms.items() if c * scalar != 0}
+        for result in (p * scalar, scalar * p):
+            assert result.terms == expected
+            assert_canonical(result)
+
+    @given(st.one_of(polys, wide_polys))
+    def test_unary_results_canonical(self, p):
+        for result in (-p, p.negate_h(), p - p, p + p, p * p):
+            assert_canonical(result)
+        assert (-p).terms == {key: -c for key, c in p.terms.items()}
+
+    @given(wide_polys)
+    def test_self_difference_and_square_root(self, p):
+        assert (p - p).is_zero
+        root = perfect_square_root(p * p)
+        assert root == p or root == -p
+        assert_canonical(root)
+
+    def test_public_constructor_coerces(self):
+        p = MultiPoly({(1, 0, 0): "3/2", (0, 1, 0): 2, (0, 0, 1): 0})
+        assert p.terms == {(1, 0, 0): Fraction(3, 2), (0, 1, 0): Fraction(2)}
+        assert_canonical(p)
 
 
 class TestEvaluation:
