@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from birat.geomcheck import Trajectory, conservation_drift
+from birat.geomcheck import Trajectory, conservation_drift, iterate_map
 from birat.kahan import KahanStepConfig, kahan_step
 from birat.models import DimensionlessEnzymeParams, enzyme_diml_vf, michaelis_menten
 
@@ -32,10 +32,7 @@ def main(argv=None):
     cfg = KahanStepConfig(h=args.h)
     steps = int(round(args.t_end / args.h))
 
-    states = np.empty((steps + 1, 3))
-    states[0] = (1.0, 0.0, 0.0)
-    for k in range(steps):
-        states[k + 1] = kahan_step(vf, states[k], cfg)
+    states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.0, 0.0], steps)
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -11,15 +11,15 @@ import csv
 import sys
 from fractions import Fraction
 
-from birat.geomcheck import Trajectory, energy_profile, orbit_verdict
+from birat.geomcheck import Trajectory, energy_profile, iterate_map, orbit_verdict
 from birat.lvfamily import (
     CASE_VI_SCHEME,
     KAHAN_SCHEME,
     MICKENS_SCHEME,
     case_iv_blend,
     classify_params,
-    iterate_lv,
     lv_hamiltonian,
+    lv_step,
     symplectic_residual,
 )
 
@@ -46,7 +46,8 @@ def main(argv=None):
     for name in args.schemes:
         scheme = SCHEMES[name]
         report = classify_params(scheme)
-        states = iterate_lv(scheme, args.x0, args.y0, args.h, args.steps)
+        states = iterate_map(lambda s: lv_step(scheme, s[0], s[1], args.h),
+                             [args.x0, args.y0], args.steps)
 
         path = f"{args.prefix}{name}.csv"
         with open(path, "w", newline="") as fh:

@@ -10,8 +10,6 @@ import argparse
 import csv
 import sys
 
-import numpy as np
-
 from birat.geomcheck import Trajectory, iterate_map, transversal_crossings
 from birat.models import (
     SchnakenbergParams,
@@ -41,7 +39,7 @@ def main(argv=None):
           f" trace {schnakenberg_trace(p):.4f}")
 
     states = iterate_map(
-        lambda s: np.array(schnakenberg_step(p, s[0], s[1], args.h)),
+        lambda s: schnakenberg_step(p, s[0], s[1], args.h),
         [(1.0 + args.offset) * xs, ys], args.steps)
 
     with open(args.output, "w", newline="") as fh:

@@ -19,12 +19,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BiratError, ConstraintViolation, NonFiniteState
+from .errors import BiratError, ConstraintViolation
 from .geomcheck import (
     Trajectory,
     conservation_drift,
     convergence_order,
+    iterate_map,
     multiplier_agreement,
+    orbit,
     roundtrip_error,
 )
 from .kahan import KahanStepConfig, kahan_inverse_step, kahan_step, kahan_step_series
@@ -260,7 +262,8 @@ def _model_params(cfg: RunConfig):
     return None
 
 
-def _make_stepper(cfg: RunConfig, params) -> Callable[[np.ndarray], np.ndarray]:
+def _make_stepper(cfg: RunConfig,
+                  params) -> Callable[[np.ndarray], np.ndarray | tuple[float, float]]:
     """Bind (model, method) to a one-step map; raises ConfigError on mismatch."""
     method = cfg.method
     series_order = None
@@ -280,34 +283,21 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[np.ndarray], np.ndarray]:
         vf = model_vector_field(cfg.model, params)
         if method == "euler":
             series_order = 0
-        if method == "kahan":
-            step_cfg = KahanStepConfig(h=cfg.h)
-        else:
-            step_cfg = KahanStepConfig(h=cfg.h, series_order=series_order)
+        step_cfg = KahanStepConfig(h=cfg.h, series_order=series_order)
         return lambda state: kahan_step(vf, state, step_cfg)
 
     if method == "euler":
         vf = schnakenberg_vf(params)
-        return lambda state: np.asarray(state, dtype=float) + cfg.h * vf(state)
+        return lambda state: state + cfg.h * vf(state)
 
     if method == "lv-family":
         scheme = LVParams.from_list(cfg.scheme)
-
-        def step(state):
-            xt, yt = lv_step(scheme, state[0], state[1], cfg.h, tol=cfg.tol)
-            return np.array([xt, yt])
-
-        return step
+        return lambda state: lv_step(scheme, state[0], state[1], cfg.h, tol=cfg.tol)
 
     if method == "schnakenberg":
         if cfg.model != "schnakenberg":
             raise ConfigError("method: schnakenberg step applies to model schnakenberg only")
-
-        def step(state):
-            xt, yt = schnakenberg_step(params, state[0], state[1], cfg.h)
-            return np.array([xt, yt])
-
-        return step
+        return lambda state: schnakenberg_step(params, state[0], state[1], cfg.h)
 
     raise ConfigError(f"method: unknown method {cfg.method!r}")
 
@@ -364,25 +354,16 @@ def cmd_integrate(args) -> int:
                           f" {cfg.model}, got {len(x0)}")
 
     stepper = _make_stepper(cfg, params)
-    state = np.asarray(x0, dtype=float)
     row = _row_template(cfg.format, len(names)).format
-    rows = [row(0.0, *state.tolist())]
+    rows = []
     error = None
-    # an overflowing state is reported once, as NonFiniteState, not also as
-    # numpy RuntimeWarnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(cfg.steps):
-            try:
-                state = stepper(state)
-                values = state.tolist()
-                if not all(map(math.isfinite, values)):
-                    bad = [n for n, v in zip(names, values) if not math.isfinite(v)]
-                    raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
-            except BiratError as exc:
-                error = {"step": k + 1, "type": type(exc).__name__, "message": str(exc)}
-                log.error("map failure at step %d: %s", k + 1, exc)
-                break
-            rows.append(row((k + 1) * cfg.h, *values))
+    try:
+        for values in orbit(stepper, x0, cfg.steps, names):
+            # row 0 prints 0, not the -0 that 0 * h gives for a negative h
+            rows.append(row(len(rows) * cfg.h or 0.0, *values))
+    except BiratError as exc:
+        error = {"step": len(rows), "type": type(exc).__name__, "message": str(exc)}
+        log.error("map failure at step %d: %s", len(rows), exc)
     _emit_trajectory(cfg, names, rows, error)
     return EXIT_RUNTIME if error is not None else EXIT_OK
 
@@ -412,23 +393,15 @@ def _suite_conservation(seed: int, tol: float) -> list[dict]:
     p3 = DimensionlessEnzymeParams(0.5, 0.6, 1e-2)
     cfg = KahanStepConfig(h=1e-3)
     vf = enzyme_diml_vf(p3)
-    state = np.array([1.0, 0.0, 0.0])
-    states = [state]
-    for _ in range(20000):
-        state = kahan_step(vf, state, cfg)
-        states.append(state)
-    traj = Trajectory.from_states(np.array(states), 1e-3, "enzyme3")
+    states = iterate_map(lambda x: kahan_step(vf, x, cfg), [1.0, 0.0, 0.0], 20000)
+    traj = Trajectory.from_states(states, 1e-3, "enzyme3")
     drift3 = conservation_drift(traj, np.array([1.0, p3.eps, 1.0]))
 
     p4 = EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01)
     vf4 = enzyme_vf(p4)
     cfg4 = KahanStepConfig(h=1e-2)
-    state = np.array([p4.s0, p4.e0, 0.0, 0.0])
-    states = [state]
-    for _ in range(5000):
-        state = kahan_step(vf4, state, cfg4)
-        states.append(state)
-    traj4 = Trajectory.from_states(np.array(states), 1e-2, "enzyme4")
+    states = iterate_map(lambda x: kahan_step(vf4, x, cfg4), [p4.s0, p4.e0, 0.0, 0.0], 5000)
+    traj4 = Trajectory.from_states(states, 1e-2, "enzyme4")
     drift_ec = conservation_drift(traj4, np.array([0.0, 1.0, 1.0, 0.0]))
     drift_scp = conservation_drift(traj4, np.array([1.0, 0.0, 1.0, 1.0]))
     return [

@@ -1,4 +1,5 @@
-"""Trajectory diagnostics: conserved quantities, round trips, order, orbits.
+"""The trajectory driver and its diagnostics: conserved quantities, round
+trips, order, orbits.
 
 Everything here consumes plain arrays plus callables, so the checks apply
 uniformly to the Kahan map, the Lotka-Volterra family and the Schnakenberg
@@ -13,6 +14,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NonFiniteState, NotASteadyState
+from .kahan import multiplier_of_eigenvalue
 
 PERIODIC_LIKE = "PERIODIC_LIKE"
 DECAYING = "DECAYING"
@@ -59,15 +63,36 @@ class OrbitVerdict:
     secular_slope: float
 
 
+def orbit(step, x0, steps: int, names=None):
+    """The trajectory driver: yield x0 and its ``steps`` images under ``step``.
+
+    Each state is yielded as a list of floats; ``step`` receives the previous
+    state as a float array and may return any sequence of floats.  The first
+    state with a NaN or infinite component raises NonFiniteState, naming the
+    bad components by ``names`` (by index when not given), so an overflow is
+    reported once and not also as numpy RuntimeWarnings: the generator holds
+    ``np.errstate(over="ignore", invalid="ignore")`` until it is exhausted
+    or closed.
+    """
+    x = np.asarray(x0, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps + 1):
+            if k:
+                x = np.asarray(step(x), dtype=float)
+            values = x.tolist()
+            if not all(map(math.isfinite, values)):
+                bad = [str(i if names is None else names[i])
+                       for i, v in enumerate(values) if not math.isfinite(v)]
+                raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
+            yield values
+
+
 def iterate_map(step, x0, steps: int) -> np.ndarray:
-    """Generic driver: states (steps + 1, dim) for step: state -> state."""
-    x = np.atleast_1d(np.asarray(x0, dtype=float))
-    out = np.empty((steps + 1, x.size))
-    out[0] = x
-    for k in range(steps):
-        x = np.atleast_1d(np.asarray(step(x), dtype=float))
-        out[k + 1] = x
-    return out
+    """Array form of :func:`orbit`: states (steps + 1, dim), written straight
+    into the result."""
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    return np.fromiter(orbit(step, x0, steps), dtype=(float, np.size(x0)), count=steps + 1)
 
 
 def conservation_drift(traj: Trajectory, w) -> float:
@@ -146,9 +171,6 @@ def multiplier_agreement(map_jacobian, vf, xstar, h: float, steady_tol: float = 
     ``map_jacobian`` is the Jacobian of the one-step map at the fixed point
     xstar of the field vf; eigenvalues are paired greedily by distance.
     """
-    from .errors import NotASteadyState
-    from .kahan import multiplier_of_eigenvalue
-
     xstar = np.asarray(xstar, dtype=float)
     f = vf.evaluate(xstar)
     if np.abs(f).max() > steady_tol:

@@ -132,19 +132,6 @@ def kahan_step_series(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.n
     return x + cfg.h * acc
 
 
-def iterate(vf: QuadraticVectorField, x0, cfg: KahanStepConfig, steps: int) -> np.ndarray:
-    """Trajectory array of shape (steps + 1, dim) starting at x0."""
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    x = _as_state(x0, vf.dim)
-    out = np.empty((steps + 1, vf.dim))
-    out[0] = x
-    for k in range(steps):
-        x = kahan_step(vf, x, cfg)
-        out[k + 1] = x
-    return out
-
-
 def rk_equivalence_residual(vf: QuadraticVectorField, x, xt, h: float) -> np.ndarray:
     """(xt - x)/h + f(x)/2 - 2 f((x + xt)/2) + f(xt)/2.
 

@@ -25,8 +25,6 @@ from fractions import Fraction
 from functools import cached_property
 from random import Random
 
-import numpy as np
-
 from .errors import (
     ConstraintViolation,
     DegenerateLinearTerm,
@@ -229,9 +227,9 @@ def _linear_root(p1, p0, tol):
 
 
 def _recover(num1, den1, num2, den2, tol):
-    if abs(den1) > tol:
+    if abs(den1) > tol * (abs(num1) + 1.0):
         return -num1 / den1
-    if abs(den2) > tol:
+    if abs(den2) > tol * (abs(num2) + 1.0):
         return -num2 / den2
     raise DegenerateLinearTerm("both recovery denominators vanish")
 
@@ -268,18 +266,6 @@ def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP
 def lv_inverse_step(p: LVParams, xt: float, yt: float, h: float, tol: float = DEFAULT_STEP_TOL):
     """Inverse step: the inverted parameter set run with step -h."""
     return lv_step(invert_params(p), xt, yt, -h, tol)
-
-
-def iterate_lv(p: LVParams, x0: float, y0: float, h: float, steps: int,
-               tol: float = DEFAULT_STEP_TOL) -> np.ndarray:
-    """Trajectory array of shape (steps + 1, 2)."""
-    out = np.empty((steps + 1, 2))
-    out[0] = (x0, y0)
-    x, y = float(x0), float(y0)
-    for k in range(steps):
-        x, y = lv_step(p, x, y, h, tol)
-        out[k + 1] = (x, y)
-    return out
 
 
 # -- symbolic certification -----------------------------------------------------------

@@ -37,7 +37,6 @@ from birat.lvfamily import (
     NOT_CERTIFIED,
     SYMPLECTIC_LABELS,
     case_iv_blend,
-    iterate_lv,
     lv_hamiltonian,
     lv_inverse_step,
     lv_step,
@@ -267,16 +266,18 @@ def test_acceptance_09_orbit_verdicts():
     h = 0.01
     monitor = lambda s: lv_hamiltonian(s[0], s[1])
 
-    v_vi = orbit_verdict(
-        Trajectory.from_states(iterate_lv(CASE_VI_SCHEME, 2.0, 0.5, h, 10_000), h),
-        monitor=monitor)
+    def lv_orbit(scheme, steps):
+        return iterate_map(lambda s: lv_step(scheme, s[0], s[1], h), [2.0, 0.5], steps)
+
+    v_vi = orbit_verdict(Trajectory.from_states(lv_orbit(CASE_VI_SCHEME, 10_000), h),
+                         monitor=monitor)
     vi_ok = v_vi.kind == PERIODIC_LIKE and abs(v_vi.secular_slope) < 1e-4
 
     v_d0 = orbit_verdict(
-        Trajectory.from_states(iterate_lv(case_iv_blend(Fraction(0)), 2.0, 0.5, h, 20_000), h),
+        Trajectory.from_states(lv_orbit(case_iv_blend(Fraction(0)), 20_000), h),
         monitor=monitor)
 
-    states_d1 = iterate_lv(case_iv_blend(Fraction(1)), 2.0, 0.5, h, 20_000)
+    states_d1 = lv_orbit(case_iv_blend(Fraction(1)), 20_000)
     v_d1 = orbit_verdict(Trajectory.from_states(states_d1, h))
     dist0 = math.hypot(2.0 - 1.0, 0.5 - 1.0)
     dist1 = math.hypot(states_d1[-1, 0] - 1.0, states_d1[-1, 1] - 1.0)

@@ -92,6 +92,19 @@ class TestIntegrate:
         assert code == 0
         assert out.splitlines()[0] == "t,x,y"
 
+    def test_negative_h_times(self):
+        # row 0 is t = 0 exactly; 0 * h would print -0 for a negative h
+        argv = ["integrate", "--model", "lv", "--method", "kahan",
+                "--h", "-0.01", "--steps", "2"]
+        code, out, _ = run_cli(argv)
+        assert code == 0
+        rows = out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "-0.01", "-0.02"]
+        code, out, _ = run_cli(argv + ["--format", "json"])
+        assert code == 0
+        assert '"rows": [[0, ' in out
+        assert [row[0] for row in json.loads(out)["rows"]] == [k * -0.01 for k in range(3)]
+
     def test_series_method(self):
         code, out, _ = run_cli(["integrate", "--model", "enzyme4", "--method",
                                 "kahan-series:3", "--h", "0.001", "--steps", "2"])

@@ -1,8 +1,10 @@
 """Trajectory diagnostics: drift, verdicts, convergence, crossings."""
+import warnings
+
 import numpy as np
 import pytest
 
-from birat.errors import NotASteadyState
+from birat.errors import NonFiniteState, NotASteadyState
 from birat.geomcheck import (
     DECAYING,
     DIVERGING,
@@ -14,12 +16,13 @@ from birat.geomcheck import (
     energy_profile,
     iterate_map,
     multiplier_agreement,
+    orbit,
     orbit_verdict,
     roundtrip_error,
     transversal_crossings,
 )
 from birat.kahan import KahanStepConfig, kahan_step
-from birat.lvfamily import KAHAN_SCHEME, iterate_lv, lv_hamiltonian
+from birat.lvfamily import KAHAN_SCHEME, lv_hamiltonian, lv_step
 from birat.models import lv_vf
 
 
@@ -51,6 +54,52 @@ class TestIterateMap:
         out = iterate_map(lambda s: 2 * s, np.array([1.0, -1.0]), 3)
         assert out.shape == (4, 2)
         assert out[-1] == pytest.approx([8.0, -8.0])
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            iterate_map(lambda s: s, [1.0, 2.0], -1)
+
+    def test_zero_steps_is_the_initial_state(self):
+        out = iterate_map(lambda s: 2 * s, [1.0, 2.0], 0)
+        assert out.tolist() == [[1.0, 2.0]]
+
+    def test_overflow_raises_non_finite_state(self):
+        with pytest.raises(NonFiniteState, match="non-finite value in 0$"):
+            iterate_map(lambda s: s * 1e300, [1e10, 1.0], 5)
+
+
+class TestOrbit:
+    def test_yields_lists_of_floats(self):
+        states = list(orbit(lambda s: (s[0] + s[1], s[1]), (0, 1), 3))
+        assert states == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
+        assert all(type(v) is float for state in states for v in state)
+
+    def test_overflow_names_indices_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                list(orbit(lambda s: s * 1e300, [1e10, 1.0], 5))
+        assert str(info.value) == "non-finite value in 0"
+
+    def test_invalid_value_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState, match="non-finite value in 1$"):
+                list(orbit(lambda s: s * np.array([1.0, np.inf]) - s, [1.0, 1.0], 2))
+
+    def test_names_label_the_bad_components(self):
+        with pytest.raises(NonFiniteState) as info:
+            list(orbit(lambda s: s * 1e300, [1e10, 1e10], 5, names=("x", "y")))
+        assert str(info.value) == "non-finite value in x, y"
+
+    def test_yields_k_plus_one_states_before_failing_at_step_k_plus_one(self):
+        # 1, 1e100, 1e200, 1e300 are finite; step 4 overflows
+        seen = []
+        with pytest.raises(NonFiniteState):
+            for state in orbit(lambda s: s * 1e100, [1.0, -1.0], 10):
+                seen.append(state)
+        assert len(seen) == 4
+        assert seen[-1] == [1e300, -1e300]
 
 
 class TestConservationDrift:
@@ -88,7 +137,8 @@ class TestEnergyProfile:
         assert slope == pytest.approx(3.0, rel=1e-9)
 
     def test_polarized_lv_keeps_energy_tight(self):
-        states = iterate_lv(KAHAN_SCHEME, 2.0, 0.5, 0.01, 5000)
+        states = iterate_map(lambda s: lv_step(KAHAN_SCHEME, s[0], s[1], 0.01),
+                             [2.0, 0.5], 5000)
         traj = Trajectory.from_states(states, 0.01)
         osc, slope = energy_profile(traj, lambda s: lv_hamiltonian(s[0], s[1]))
         assert osc < 1e-4

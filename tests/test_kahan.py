@@ -12,9 +12,9 @@ from birat.errors import (
     PoleAtTwoOverH,
     SingularStepMatrix,
 )
+from birat.geomcheck import iterate_map
 from birat.kahan import (
     KahanStepConfig,
-    iterate,
     kahan_inverse_step,
     kahan_step,
     kahan_step_series,
@@ -147,13 +147,15 @@ class TestStep:
 
 class TestIterate:
     def test_shape_and_initial_row(self):
-        out = iterate(lv_vf(), [2.0, 0.5], KahanStepConfig(h=0.01), 7)
+        vf, cfg = lv_vf(), KahanStepConfig(h=0.01)
+        out = iterate_map(lambda s: kahan_step(vf, s, cfg), [2.0, 0.5], 7)
         assert out.shape == (8, 2)
         assert out[0] == pytest.approx([2.0, 0.5])
 
     def test_matches_repeated_steps(self):
         cfg = KahanStepConfig(h=0.02)
-        out = iterate(lv_vf(), [2.0, 0.5], cfg, 3)
+        vf = lv_vf()
+        out = iterate_map(lambda s: kahan_step(vf, s, cfg), [2.0, 0.5], 3)
         x = np.array([2.0, 0.5])
         for k in range(3):
             x = kahan_step(lv_vf(), x, cfg)
@@ -162,7 +164,8 @@ class TestIterate:
     def test_linear_first_integrals_exact(self):
         # w f = 0 implies w x is preserved to rounding along the orbit.
         vf = enzyme_vf(EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01))
-        states = iterate(vf, [1.0, 0.01, 0.0, 0.0], KahanStepConfig(h=0.01), 1000)
+        cfg = KahanStepConfig(h=0.01)
+        states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.01, 0.0, 0.0], 1000)
         for w in (np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0, 1.0])):
             vals = states @ w
             assert np.abs(vals - vals[0]).max() < 1e-13

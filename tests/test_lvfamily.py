@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birat.errors import ConstraintViolation, DomainError, NotBirational
+from birat.errors import ConstraintViolation, DegenerateLinearTerm, DomainError, NotBirational
+from birat.geomcheck import iterate_map
 from birat.kahan import KahanStepConfig, kahan_step
 from birat.lvfamily import (
     BIRATIONAL,
@@ -21,13 +22,13 @@ from birat.lvfamily import (
     SYMPLECTIC_LABELS,
     ClassificationReport,
     LVParams,
+    _recover,
     case_iv_blend,
     check_sympcon,
     classify_birational,
     classify_params,
     classify_symplectic,
     invert_params,
-    iterate_lv,
     lv_hamiltonian,
     lv_inverse_step,
     lv_step,
@@ -183,9 +184,18 @@ class TestStep:
             assert 1.7 < ratio < 2.3
 
     def test_iterate_shape(self):
-        out = iterate_lv(KAHAN_SCHEME, 2.0, 0.5, 0.01, 10)
+        out = iterate_map(lambda s: lv_step(KAHAN_SCHEME, s[0], s[1], 0.01),
+                          [2.0, 0.5], 10)
         assert out.shape == (11, 2)
         assert out[0] == pytest.approx([2.0, 0.5])
+
+    def test_recover_tolerance_is_relative(self):
+        # 2e-9 clears tol = 1e-9 absolutely, but against a numerator of 1e6
+        # it is rounding noise: the quotient -5e14 must not be returned.
+        assert _recover(1e6, 2e-9, -3.0, 1.0, 1e-9) == 3.0
+        assert _recover(3.0, 2.0, 0.0, 0.0, 1e-9) == -1.5
+        with pytest.raises(DegenerateLinearTerm):
+            _recover(1e6, 2e-9, 1e6, 2e-9, 1e-9)
 
 
 class TestCertificates:
@@ -274,7 +284,8 @@ class TestHamiltonian:
             lv_hamiltonian(1.0, -0.5)
 
     def test_nearly_conserved_along_polarized_orbit(self):
-        states = iterate_lv(KAHAN_SCHEME, 2.0, 0.5, 0.01, 2000)
+        states = iterate_map(lambda s: lv_step(KAHAN_SCHEME, s[0], s[1], 0.01),
+                             [2.0, 0.5], 2000)
         vals = np.array([lv_hamiltonian(x, y) for x, y in states])
         assert vals.max() - vals.min() < 1e-4
 

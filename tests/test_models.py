@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from birat.errors import DenominatorVanishes, PoleError
-from birat.kahan import KahanStepConfig, iterate
+from birat.geomcheck import iterate_map
+from birat.kahan import KahanStepConfig, kahan_step
 from birat.models import (
     MODEL_STATE_NAMES,
     DimensionlessEnzymeParams,
@@ -106,8 +107,8 @@ class TestProductAccumulate:
     def test_matches_map_z_component(self):
         # The z update is exactly the trapezoid rule on the y samples, so the
         # quadrature route and the map route must agree to rounding.
-        states = iterate(enzyme_diml_vf(ENZ3), [1.0, 0.0, 0.0],
-                         KahanStepConfig(h=1e-3), 2000)
+        vf, cfg = enzyme_diml_vf(ENZ3), KahanStepConfig(h=1e-3)
+        states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.0, 0.0], 2000)
         z = product_accumulate(states[:, 1], 1e-3, ENZ3)
         assert np.abs(z - states[:, 2]).max() < 1e-12
 
