@@ -13,7 +13,8 @@ the script once per checkout and diff the two listings:
 The set covers `verify` (all suites at two seeds, each suite alone),
 `integrate` in CSV and JSON for every model and method pairing, two runs
 that stop at a typed map failure, and `classify --certify` on the Kahan,
-Mickens and case-VI schemes and on the all-1/4 set, which is not certified.
+Mickens and case-VI schemes, on the all-1/4 set, which is not certified, and
+on one member of each birational case template i-vii.
 """
 import argparse
 import hashlib
@@ -39,6 +40,13 @@ CERTIFY = (
     MICKENS,  # MICKENS_SCHEME
     "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0",  # CASE_VI_SCHEME
     ",".join(["1/4"] * 10),  # NOT_CERTIFIED
+    "1/3,0,0,1/4,3/4,2/3,0,0,-1/2,3/2",  # i
+    "1/2,0,0,1,0,1/3,1/2,0,1/4,1/4",  # ii
+    "2/3,0,0,0,1,1/2,0,-1/3,1/2,5/6",  # iii
+    "1/4,1/2,0,-1,3/2,3/4,0,0,0,1",  # iv
+    "3/4,0,2,-1/2,-1/2,1/4,0,0,1,0",  # v
+    "1/3,0,1/2,1/2,0,2/3,-1,0,2,0",  # vi, symplectic III
+    "1/5,1/4,0,0,3/4,1/2,0,3/2,0,-1/2",  # vii, symplectic I
 )
 
 

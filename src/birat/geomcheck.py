@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteState, NotASteadyState
-from .kahan import multiplier_of_eigenvalue
+from .kahan import STEADY_STATE_TOL, multiplier_of_eigenvalue
 
 PERIODIC_LIKE = "PERIODIC_LIKE"
 DECAYING = "DECAYING"
@@ -165,7 +165,8 @@ def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def multiplier_agreement(map_jacobian, vf, xstar, h: float, steady_tol: float = 1e-10) -> float:
+def multiplier_agreement(map_jacobian, vf, xstar, h: float,
+                         steady_tol: float = STEADY_STATE_TOL) -> float:
     """Worst distance between map eigenvalues and (1 + h l/2)/(1 - h l/2).
 
     ``map_jacobian`` is the Jacobian of the one-step map at the fixed point

@@ -34,8 +34,19 @@ from .errors import (
 )
 from .ratpoly import MultiPoly, _as_fraction, perfect_square_root
 
-CASE_LABELS = ("i", "ii", "iii", "iv", "v", "vi", "vii")
-SYMPLECTIC_LABELS = ("I", "II", "III")
+# Birational templates by the four weights they set to zero.  The paper's
+# other conditions (d + e = 1 in i, d = 1 in ii, E = 1 in iv, ...) follow
+# from b + c + d + e = 1 and B + C + D + E = 1, which LVParams enforces.
+_CASE_TEMPLATES = {
+    "i": "bcBC", "ii": "bceC", "iii": "bcdB", "iv": "cBCD",
+    "v": "bBCE", "vi": "beCE", "vii": "cdBD",
+}
+# Symplectic templates as a birational template plus ties {weight: partner};
+# in II, D = d forces E = e through the same two sums.
+_SYMPLECTIC_TEMPLATES = {"I": ("vii", {}), "II": ("i", {"D": "d"}), "III": ("vi", {})}
+
+CASE_LABELS = tuple(_CASE_TEMPLATES)
+SYMPLECTIC_LABELS = tuple(_SYMPLECTIC_TEMPLATES)
 
 BIRATIONAL = "BIRATIONAL"
 NOT_CERTIFIED = "NOT_CERTIFIED"
@@ -118,37 +129,20 @@ def case_iv_blend(d) -> LVParams:
 # -- classification ----------------------------------------------------------------
 
 
+def _in_template(p: LVParams, zeros: str, ties: dict[str, str]) -> bool:
+    return (all(getattr(p, w) == 0 for w in zeros)
+            and all(getattr(p, w) == getattr(p, t) for w, t in ties.items()))
+
+
 def classify_birational(p: LVParams) -> tuple[str, ...]:
     """Labels of the birational case templates containing p (possibly several)."""
-    cases = []
-    if p.b == 0 and p.c == 0 and p.B == 0 and p.C == 0 and p.d + p.e == 1 and p.D + p.E == 1:
-        cases.append("i")
-    if p.b == 0 and p.c == 0 and p.e == 0 and p.d == 1 and p.C == 0 and p.B + p.D + p.E == 1:
-        cases.append("ii")
-    if p.b == 0 and p.c == 0 and p.d == 0 and p.e == 1 and p.B == 0 and p.C + p.D + p.E == 1:
-        cases.append("iii")
-    if p.c == 0 and p.B == 0 and p.C == 0 and p.D == 0 and p.E == 1 and p.b + p.d + p.e == 1:
-        cases.append("iv")
-    if p.b == 0 and p.B == 0 and p.C == 0 and p.E == 0 and p.D == 1 and p.c + p.d + p.e == 1:
-        cases.append("v")
-    if p.b == 0 and p.e == 0 and p.C == 0 and p.E == 0 and p.c + p.d == 1 and p.B + p.D == 1:
-        cases.append("vi")
-    if p.c == 0 and p.d == 0 and p.B == 0 and p.D == 0 and p.b + p.e == 1 and p.C + p.E == 1:
-        cases.append("vii")
-    return tuple(cases)
+    return tuple(label for label, zeros in _CASE_TEMPLATES.items() if _in_template(p, zeros, {}))
 
 
 def classify_symplectic(p: LVParams) -> tuple[str, ...]:
     """Labels of the symplectic case templates containing p."""
-    cases = []
-    if p.c == 0 and p.d == 0 and p.B == 0 and p.D == 0 and p.b + p.e == 1 and p.C + p.E == 1:
-        cases.append("I")
-    if p.b == 0 and p.c == 0 and p.B == 0 and p.C == 0 and p.D == p.d and p.E == p.e \
-            and p.d + p.e == 1:
-        cases.append("II")
-    if p.b == 0 and p.e == 0 and p.C == 0 and p.E == 0 and p.c + p.d == 1 and p.B + p.D == 1:
-        cases.append("III")
-    return tuple(cases)
+    return tuple(label for label, (case, ties) in _SYMPLECTIC_TEMPLATES.items()
+                 if _in_template(p, _CASE_TEMPLATES[case], ties))
 
 
 def check_sympcon(p: LVParams) -> bool:
@@ -424,54 +418,32 @@ def _rand_fraction(rng: Random, nonzero: bool = False, span: int = 3, max_den: i
             return q
 
 
+def _random_member(zeros: str, ties: dict[str, str], rng: Random) -> LVParams:
+    """Draw a, A, then per group the free weights in order; the last closes the sum."""
+    vals = dict.fromkeys(zeros, 0)
+    vals["a"] = _rand_fraction(rng)
+    vals["A"] = _rand_fraction(rng)
+    for group in ("bcde", "BCDE"):
+        *drawn, last = (w for w in group if w not in zeros)
+        for w in drawn:
+            vals[w] = vals[ties[w]] if w in ties else _rand_fraction(rng, nonzero=True)
+        vals[last] = 1 - sum(vals[w] for w in drawn)
+    return LVParams(**vals)
+
+
 def random_case_params(label: str, rng: Random) -> LVParams:
     """A random exact-rational member of a birational case template."""
-    a = _rand_fraction(rng)
-    A = _rand_fraction(rng)
-    r = lambda: _rand_fraction(rng, nonzero=True)
-    if label == "i":
-        d, D = r(), r()
-        vals = [a, 0, 0, d, 1 - d, A, 0, 0, D, 1 - D]
-    elif label == "ii":
-        B, D = r(), r()
-        vals = [a, 0, 0, 1, 0, A, B, 0, D, 1 - B - D]
-    elif label == "iii":
-        C, D = r(), r()
-        vals = [a, 0, 0, 0, 1, A, 0, C, D, 1 - C - D]
-    elif label == "iv":
-        b, d = r(), r()
-        vals = [a, b, 0, d, 1 - b - d, A, 0, 0, 0, 1]
-    elif label == "v":
-        c, d = r(), r()
-        vals = [a, 0, c, d, 1 - c - d, A, 0, 0, 1, 0]
-    elif label == "vi":
-        c, B = r(), r()
-        vals = [a, 0, c, 1 - c, 0, A, B, 0, 1 - B, 0]
-    elif label == "vii":
-        b, C = r(), r()
-        vals = [a, b, 0, 0, 1 - b, A, 0, C, 0, 1 - C]
-    else:
+    if label not in _CASE_TEMPLATES:
         raise KeyError(f"unknown case label {label!r}")
-    return LVParams.from_list(vals)
+    return _random_member(_CASE_TEMPLATES[label], {}, rng)
 
 
 def random_symplectic_params(label: str, rng: Random) -> LVParams:
     """A random exact-rational member of a symplectic case template."""
-    a = _rand_fraction(rng)
-    A = _rand_fraction(rng)
-    r = lambda: _rand_fraction(rng, nonzero=True)
-    if label == "I":
-        b, C = r(), r()
-        vals = [a, b, 0, 0, 1 - b, A, 0, C, 0, 1 - C]
-    elif label == "II":
-        d = r()
-        vals = [a, 0, 0, d, 1 - d, A, 0, 0, d, 1 - d]
-    elif label == "III":
-        c, B = r(), r()
-        vals = [a, 0, c, 1 - c, 0, A, B, 0, 1 - B, 0]
-    else:
+    if label not in _SYMPLECTIC_TEMPLATES:
         raise KeyError(f"unknown symplectic label {label!r}")
-    return LVParams.from_list(vals)
+    case, ties = _SYMPLECTIC_TEMPLATES[label]
+    return _random_member(_CASE_TEMPLATES[case], ties, rng)
 
 
 def random_noncase_params(rng: Random, max_tries: int = 200) -> LVParams:

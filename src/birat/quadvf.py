@@ -6,8 +6,6 @@ with quad symmetric in its last two indices, held as dense arrays.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .errors import DimensionMismatch
@@ -103,51 +101,6 @@ class QuadraticVectorField:
         mid = 0.5 * (x + xt)
         cross = 0.5 * ((self.quad @ xt) @ x + (self.quad @ x) @ xt)
         return self.c0 + self.lin @ mid + cross
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Schema: dim, c0 list, lin dense rows, quad as [i, j, k, value] with j <= k."""
-        entries = {}
-        ii, jj, kk = np.nonzero(self.quad)
-        for i, j, k in zip(ii, jj, kk):
-            if j <= k:
-                entries[(int(i), int(j), int(k))] = float(self.quad[i, j, k])
-        quad_list = [[i, j, k, v] for (i, j, k), v in sorted(entries.items())]
-        return {
-            "dim": self.dim,
-            "c0": [float(v) for v in self.c0],
-            "lin": [[float(v) for v in row] for row in self.lin],
-            "quad": quad_list,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "QuadraticVectorField":
-        dim = int(data["dim"])
-        lin_triplets = []
-        for i, row in enumerate(data["lin"]):
-            if len(row) != dim:
-                raise DimensionMismatch(f"lin row {i} has length {len(row)}")
-            for j, v in enumerate(row):
-                if v:
-                    lin_triplets.append((i, j, float(v)))
-        quad_triplets = []
-        for i, j, k, v in data["quad"]:
-            if j > k:
-                raise ValueError(f"quad entry ({i},{j},{k}) violates j <= k")
-            # stored value is the symmetric tensor entry; off-diagonal pairs
-            # contribute twice to the monomial coefficient
-            quad_triplets.append((i, j, k, float(v) * (1.0 if j == k else 2.0)))
-        return cls.from_triplets(
-            dim, c0=data["c0"], lin_triplets=lin_triplets, quad_triplets=quad_triplets
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuadraticVectorField":
-        return cls.from_json_dict(json.loads(text))
 
     def __repr__(self):
         return f"QuadraticVectorField(dim={self.dim})"

@@ -22,7 +22,9 @@ from birat.lvfamily import (
     SYMPLECTIC_LABELS,
     ClassificationReport,
     LVParams,
+    _eliminate,
     _recover,
+    _relation_coeffs,
     case_iv_blend,
     check_sympcon,
     classify_birational,
@@ -346,3 +348,120 @@ class TestGenerators:
         rng = random.Random(73)
         for _ in range(10):
             assert classify_birational(random_noncase_params(rng)) == ()
+
+    # sha256 of seeded symplectic members: any change to the number or order
+    # of draws moves it.
+    SYMPLECTIC_SHA256 = "309da55089fe9ec8cf15fc3bb2321873b976241262bacfc7a6717328d3d74a95"
+
+    def test_symplectic_members_pinned(self):
+        rng = random.Random(1994)
+        members = [random_symplectic_params(label, rng)
+                   for _ in range(4) for label in SYMPLECTIC_LABELS]
+        text = ";".join(",".join(map(str, p.to_list())) for p in members)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SYMPLECTIC_SHA256
+
+    def test_unknown_labels_raise_key_error(self):
+        rng = random.Random(74)
+        with pytest.raises(KeyError, match="unknown case label 'I'"):
+            random_case_params("I", rng)
+        with pytest.raises(KeyError, match="unknown symplectic label 'i'"):
+            random_symplectic_params("i", rng)
+
+    def test_templates_agree_with_certificate(self):
+        # Zero-heavy sets land in a template often enough to test both ways;
+        # the certificate re-derives birationality without the table.
+        pool = [Fraction(0)] * 4 + [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3, 2)]
+        rng = random.Random(2014)
+        inside = 0
+        for _ in range(300):
+            a, A, b, c, d, B, C, D = (rng.choice(pool) for _ in range(8))
+            p = LVParams(a, b, c, d, 1 - b - c - d, A, B, C, D, 1 - B - C - D)
+            in_table = bool(classify_birational(p))
+            inside += in_table
+            assert in_table == (symbolic_certificate(p).verdict == BIRATIONAL), p
+        assert 0 < inside < 300
+
+
+def _exact_relations(p, h):
+    """The two step relations E(x, y, xt, yt) of p at step h, in Fraction."""
+    def rel(x, y, xt, yt):
+        c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.to_list(), x, y, h, Fraction(1))
+        return (c1 + u1 * xt + v1 * yt + uv1 * xt * yt,
+                c2 + u2 * xt + v2 * yt + uv2 * xt * yt)
+    return rel
+
+
+def _exact_step(p, x, y, h):
+    """The exact rational image (xt, yt): linear root, then recovery."""
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.to_list(), x, y, h, Fraction(1))
+    swap = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0] != 0
+    if swap:  # quadratic in yt: eliminate yt instead
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    p2, p1, p0 = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)
+    assert p2 == 0
+    s = -p0 / p1
+    den = u1 + uv1 * s
+    t = -(c1 + v1 * s) / den if den else -(c2 + v2 * s) / (u2 + uv2 * s)
+    return (s, t) if swap else (t, s)
+
+
+def _det_partials(rel, point, i, j):
+    """det of the partials of rel in slots i, j at point.
+
+    Each relation is affine in each slot, so a unit central difference is exact.
+    """
+    cols = []
+    for slot in (i, j):
+        up, down = list(point), list(point)
+        up[slot] += 1
+        down[slot] -= 1
+        cols.append([(hi - lo) / 2 for hi, lo in zip(rel(*up), rel(*down))])
+    (a, c), (b, d) = cols
+    return a * d - b * c
+
+
+def _keeps_form(p, rng, points=3):
+    """Exactly whether the step keeps dx ^ dy / (x y) at random rational points.
+
+    With E(x, y, xt, yt) = 0, det DPhi = det dE/d(x, y) / det dE/d(xt, yt),
+    and the form is kept iff det DPhi * x y = xt yt.  Both sides are rational
+    in (x, y, h), so an identity that fails, fails at a random point.  The
+    prime denominators keep the points off the finitely many exceptional
+    values (such as h (1 - a) = 1) where a template's step is undefined.
+    """
+    for _ in range(points):
+        x = Fraction(rng.randint(1, 400), 103)
+        y = Fraction(rng.randint(1, 400), 107)
+        h = Fraction(rng.randint(1, 50), 101)
+        xt, yt = _exact_step(p, x, y, h)
+        rel = _exact_relations(p, h)
+        point = (x, y, xt, yt)
+        if _det_partials(rel, point, 0, 1) * x * y != _det_partials(rel, point, 2, 3) * xt * yt:
+            return False
+    return True
+
+
+class TestSymplecticOracle:
+    def test_named_schemes(self):
+        rng = random.Random(1994)
+        for p in (KAHAN_SCHEME, MICKENS_SCHEME, CASE_VI_SCHEME, case_iv_blend(0)):
+            assert _keeps_form(p, rng)
+        assert not _keeps_form(case_iv_blend(1), rng)
+
+    def test_symplectic_templates_keep_form(self):
+        rng = random.Random(1995)
+        for label in SYMPLECTIC_LABELS:
+            for _ in range(30):
+                assert _keeps_form(random_symplectic_params(label, rng), rng), label
+
+    def test_oracle_agrees_with_table_and_sympcon(self):
+        rng = random.Random(1996)
+        kept = 0
+        for label in CASE_LABELS:
+            for _ in range(30):
+                p = random_case_params(label, rng)
+                expected = _keeps_form(p, rng)
+                kept += expected
+                assert bool(classify_symplectic(p)) == expected, (label, p)
+                assert check_sympcon(p) == expected, (label, p)
+        assert 0 < kept < 210

@@ -1,5 +1,4 @@
 """Quadratic vector field container: evaluation, polarization, storage."""
-import json
 
 import numpy as np
 import pytest
@@ -113,22 +112,4 @@ class TestPolarization:
         mixed = vf.polarized_rhs(x, alpha * u + (1 - alpha) * v)
         split = alpha * vf.polarized_rhs(x, u) + (1 - alpha) * vf.polarized_rhs(x, v)
         assert mixed == pytest.approx(split, abs=1e-9)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        vf = enzyme_vf(EnzymeParams(2.0, 3.0, 1.8, 4.0, 0.05))
-        back = QuadraticVectorField.from_json(vf.to_json())
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            x = rng.uniform(0.0, 2.0, vf.dim)
-            assert back.evaluate(x) == pytest.approx(vf.evaluate(x), rel=1e-15, abs=1e-15)
-            assert np.asarray(back.jacobian(x)) == pytest.approx(
-                np.asarray(vf.jacobian(x)), rel=1e-15, abs=1e-15)
-
-    def test_json_is_valid_and_dim_tagged(self):
-        data = json.loads(lv_vf().to_json())
-        assert data["dim"] == 2
-        for i, j, k, _ in data["quad"]:
-            assert j <= k
 
