@@ -173,10 +173,9 @@ def multiplier_agreement(map_jacobian, vf, xstar, h: float,
     xstar of the field vf; eigenvalues are paired greedily by distance.
     """
     xstar = np.asarray(xstar, dtype=float)
-    f = vf.evaluate(xstar)
+    f, J = vf.evaluate_and_jacobian(xstar)
     if np.abs(f).max() > steady_tol:
         raise NotASteadyState(f"|f(x*)| = {np.abs(f).max():.3e} exceeds {steady_tol}")
-    J = vf.jacobian(xstar)
     predicted = [multiplier_of_eigenvalue(lam, h) for lam in np.linalg.eigvals(J)]
     observed = list(np.linalg.eigvals(np.asarray(map_jacobian, dtype=float)))
     worst = 0.0

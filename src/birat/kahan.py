@@ -12,8 +12,13 @@ the explicit Euler step at order zero.
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
+from math import isnan
 
 import numpy as np
 
@@ -46,16 +51,26 @@ class KahanStepConfig:
 
 
 @lru_cache(maxsize=None)
-def _dense_lu_routines(dtype):
-    """LAPACK getrf/getrs for ``dtype``, the routines behind ``scipy.linalg``'s
-    ``lu_factor`` and ``lu_solve``, looked up once instead of on every step.
+def _dense_lu_routines():
+    """LAPACK dgetrf/dgetrs, from scipy's ``_flapack`` extension alone, at the first solve.
 
-    scipy is imported here, at the first solve, so that ``import birat`` and
-    the paths that never solve a step matrix do not load it.
+    The extension stays out of ``sys.modules`` until ``scipy.linalg`` imports
+    it.  Any failure of this direct load falls back to ``scipy.linalg``.
     """
-    import scipy.linalg as sla
+    name = "scipy.linalg._flapack"
+    try:
+        import scipy
 
-    return sla.get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+        if (flapack := sys.modules.get(name)) is None:
+            spec = PathFinder.find_spec(name, [os.path.join(p, "linalg") for p in scipy.__path__])
+            flapack = module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+            sys.modules.pop(name, None)
+        return flapack.dgetrf, flapack.dgetrs
+    except (ImportError, AttributeError, OSError):  # extension missing or unloadable
+        import scipy.linalg as sla
+
+        return tuple(sla.get_lapack_funcs(("getrf", "getrs"), dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -69,16 +84,18 @@ def _identity(dim: int) -> np.ndarray:
 def _solve_step_matrix(M, rhs, tol: float, what: str, h: float) -> np.ndarray:
     """Solve M z = rhs by partial-pivot LU, with a pivot-size singularity check.
 
-    Errors are reported as "<what> at h=<h>: ..."; the text is only built
-    when a solve fails.
+    M and rhs are float64.  Errors are reported as "<what> at h=<h>: ..."; the
+    text is only built when a solve fails.
     """
-    getrf, getrs = _dense_lu_routines(np.result_type(M, rhs))
+    getrf, getrs = _dense_lu_routines()
     lu, piv, info = getrf(M)
     if info < 0:
         raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrf")
-    # info > 0 flags an exactly zero pivot, which the check below rejects
-    scale = np.abs(M).max()
-    if np.abs(lu.diagonal()).min() <= tol * scale:
+    # info > 0 flags an exactly zero pivot, which the check below rejects.  Python
+    # floats beat numpy reductions here; a NaN passes, as with np.min and np.max.
+    entries, pivots = M.ravel().tolist(), lu.diagonal().tolist()
+    if (min(map(abs, pivots)) <= tol * max(map(abs, entries))
+            and not any(map(isnan, entries + pivots))):
         raise SingularStepMatrix(f"{what} at h={h}: pivot below {tol} of matrix max-norm")
     z, info = getrs(lu, piv, rhs)
     if info != 0:
@@ -93,10 +110,11 @@ def _kahan_solve(vf: QuadraticVectorField, x, h: float, cfg: KahanStepConfig,
     The inverse step is this map with -h anchored at the arrival point;
     ``what`` names the step matrix in error messages, which quote ``cfg.h``.
     """
-    f, J = vf.evaluate_and_jacobian(x)  # checks the state's shape
-    x = np.asarray(x, dtype=float)
-    M = _identity(vf.dim) - (0.5 * h) * J
-    return x + h * _solve_step_matrix(M, f, cfg.singular_tol, what, cfg.h)
+    x = _as_state(x, vf.dim)
+    f, J = vf.evaluate_and_jacobian(x)
+    # a 0-d array takes numpy's array path, cheaper than its Python-scalar one
+    M = _identity(vf.dim) - np.array(0.5 * h) * J
+    return x + np.array(h) * _solve_step_matrix(M, f, cfg.singular_tol, what, cfg.h)
 
 
 def kahan_step(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
@@ -120,15 +138,12 @@ def kahan_step_series(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.n
     if cfg.series_order is None:
         raise ValueError("series_order must be set for the series step")
     x = _as_state(x, vf.dim)
-    f = vf.evaluate(x)
-    acc = f.copy()
-    if cfg.series_order > 0:
-        J = vf.jacobian(x)
-        half_h = 0.5 * cfg.h
-        term = f
-        for _ in range(cfg.series_order):
-            term = half_h * (J @ term)
-            acc = acc + term
+    f, J = vf.evaluate_and_jacobian(x)
+    acc = term = f
+    half_h = 0.5 * cfg.h
+    for _ in range(cfg.series_order):
+        term = half_h * (J @ term)
+        acc = acc + term
     return x + cfg.h * acc
 
 
@@ -161,11 +176,10 @@ def map_multipliers_at_fixed_point(
     Requires f(x*) to vanish within ``steady_tol`` in max-norm.
     """
     xstar = _as_state(xstar, vf.dim)
-    f = vf.evaluate(xstar)
+    f, J = vf.evaluate_and_jacobian(xstar)
     defect = np.abs(f).max()
     if defect > steady_tol:
         raise NotASteadyState(f"|f(x*)| = {defect:.3e} exceeds {steady_tol}")
-    J = vf.jacobian(xstar)
-    M = np.eye(vf.dim) - (0.5 * h) * J
+    M = _identity(vf.dim) - (0.5 * h) * J
     X = _solve_step_matrix(M, J, singular_tol, "fixed-point step matrix", h)
-    return np.linalg.eigvals(np.eye(vf.dim) + h * X)
+    return np.linalg.eigvals(_identity(vf.dim) + h * X)

@@ -74,7 +74,7 @@ class QuadraticVectorField:
         """f(x)."""
         x = _as_state(x, self.dim)
         qx = self.quad @ x
-        return self.c0 + self.lin @ x + qx @ x
+        return self.c0 + np.dot(self.lin, x) + np.dot(qx, x)
 
     def jacobian(self, x) -> np.ndarray:
         """f'(x) with entries lin_im + 2 sum_k quad_imk x_k."""
@@ -84,11 +84,12 @@ class QuadraticVectorField:
     def evaluate_and_jacobian(self, x):
         """(f(x), f'(x)), bit-identical to :meth:`evaluate` and :meth:`jacobian`.
 
-        The two share the one contraction quad @ x.
+        The two share the one contraction quad @ x.  np.dot (on 2-D operands
+        only) and qx + qx give the bits of @ and 2.0 * qx, at less cost.
         """
         x = _as_state(x, self.dim)
         qx = self.quad @ x
-        return self.c0 + self.lin @ x + qx @ x, self.lin + 2.0 * qx
+        return self.c0 + np.dot(self.lin, x) + np.dot(qx, x), self.lin + (qx + qx)
 
     def polarized_rhs(self, x, xt) -> np.ndarray:
         """Symmetric bilinear extension Q(x, xt) with Q(x, x) = f(x).

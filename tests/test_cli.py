@@ -1,4 +1,5 @@
 """End-to-end command-line behavior: output formats, exit codes, suites."""
+import ast
 import concurrent.futures
 import contextlib
 import io
@@ -467,15 +468,12 @@ class TestConfigFile:
 
 
 class TestScipyNotLoaded:
-    """scipy loads at the first step-matrix solve, not at ``import birat``."""
+    """scipy loads at the first step-matrix solve, not at ``import birat``, and
+    the solve loads LAPACK without ``scipy.linalg``."""
 
-    @pytest.mark.parametrize("argv", [
-        [],
-        ["classify", MICKENS, "--certify"],
-        ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
-         "--h", "0.1", "--steps", "5"],
-    ], ids=["import", "classify-certify", "integrate-lv-family"])
-    def test_scipy_absent(self, argv):
+    @staticmethod
+    def _scipy_modules(argv):
+        """(exit code, scipy modules loaded) after ``main(argv)`` in a fresh interpreter."""
         code = ("import contextlib, io, sys\n"
                 "import birat\n"
                 "from birat.cli import main\n"
@@ -485,7 +483,24 @@ class TestScipyNotLoaded:
                 "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "0 []\n"
+        rc, modules = proc.stdout.split(" ", 1)
+        return int(rc), ast.literal_eval(modules)
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["classify", MICKENS, "--certify"],
+        ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+         "--h", "0.1", "--steps", "5"],
+    ], ids=["import", "classify-certify", "integrate-lv-family"])
+    def test_scipy_absent(self, argv):
+        assert self._scipy_modules(argv) == (0, [])
+
+    def test_kahan_integrate_leaves_scipy_linalg_out(self):
+        rc, modules = self._scipy_modules(["integrate", "--model", "enzyme3", "--method",
+                                           "kahan", "--h", "1e-3", "--steps", "5"])
+        assert rc == 0
+        assert "scipy" in modules
+        assert not [m for m in modules if m.startswith("scipy.linalg")]
 
 
 class TestSubprocessLogging:

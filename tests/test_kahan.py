@@ -1,7 +1,10 @@
 """Polarized one-step map: explicit solve, inverse, series, multipliers."""
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
@@ -12,6 +15,7 @@ from birat.errors import (
     PoleAtTwoOverH,
     SingularStepMatrix,
 )
+from birat import kahan
 from birat.geomcheck import iterate_map
 from birat.kahan import (
     KahanStepConfig,
@@ -293,3 +297,70 @@ class TestLocalOrder:
 
         ratio = np.log2(local_err(0.02) / local_err(0.01))
         assert ratio > 2.8
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, 1e-300, 1e308])
+
+
+class TestPivotCheck:
+    """The singularity check on Python floats keeps numpy's verdict, NaN included."""
+
+    @given(st.integers(2, 4).flatmap(lambda n: arrays(
+        float, (n, n), elements=st.one_of(SPECIAL, st.floats(width=64)))),
+        st.sampled_from([1e-12, 1e-3, 0.5]))
+    # dgetrf leaves pivots (-inf, nan, nan): Python's min alone would drop the NaNs
+    @example(np.array([[5e307, -5e307, 0.0], [-np.inf, np.inf, 0.0], [0.0, -0.05, 1.0]]),
+             1e-12)
+    def test_verdict_matches_numpy_reductions(self, M, tol):
+        getrf, _ = kahan._dense_lu_routines()
+        lu, _, _ = getrf(M)
+        expected = np.abs(lu.diagonal()).min() <= tol * np.abs(M).max()
+        try:
+            kahan._solve_step_matrix(M, np.ones(len(M)), tol, "step matrix", 0.1)
+        except SingularStepMatrix:
+            assert expected
+        else:
+            assert not expected
+
+
+class TestLapackRoutines:
+    """The direct ``_flapack`` load and the ``scipy.linalg`` fallback agree."""
+
+    def test_direct_load_is_scipy_linalg_lookup(self):
+        code = ("import sys\n"
+                "from birat import kahan\n"
+                "routines = kahan._dense_lu_routines()\n"
+                "assert not any(m.startswith('scipy.linalg') for m in sys.modules)\n"
+                "import scipy.linalg as sla\n"
+                "expected = sla.get_lapack_funcs(('getrf', 'getrs'), dtype=float)\n"
+                "print([a is b for a, b in zip(routines, expected)])\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[True, True]\n"
+
+    def test_fallback_gives_same_step_bits(self, monkeypatch):
+        import scipy.linalg as sla
+
+        vf = enzyme_diml_vf(ENZ3)
+        cfg = KahanStepConfig(h=0.1)
+        x0 = [1.0, 0.2, 0.05]
+        direct = iterate_map(lambda s: kahan_step(vf, s, cfg), x0, 50)
+
+        failed = []
+
+        def fail(spec):
+            failed.append(spec.name)
+            raise ImportError("direct load disabled")
+
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(kahan, "module_from_spec", fail)
+        kahan._dense_lu_routines.cache_clear()
+        try:
+            routines = kahan._dense_lu_routines()
+            fallback = iterate_map(lambda s: kahan_step(vf, s, cfg), x0, 50)
+        finally:
+            kahan._dense_lu_routines.cache_clear()
+        expected = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)
+        assert failed == ["scipy.linalg._flapack"]
+        assert all(a is b for a, b in zip(routines, expected))
+        assert direct.tobytes() == fallback.tobytes()

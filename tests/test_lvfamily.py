@@ -20,9 +20,11 @@ from birat.lvfamily import (
     MICKENS_SCHEME,
     NOT_CERTIFIED,
     SYMPLECTIC_LABELS,
+    DEFAULT_STEP_TOL,
     ClassificationReport,
     LVParams,
     _eliminate,
+    _linear_root,
     _recover,
     _relation_coeffs,
     case_iv_blend,
@@ -465,3 +467,101 @@ class TestSymplecticOracle:
                 assert bool(classify_symplectic(p)) == expected, (label, p)
                 assert check_sympcon(p) == expected, (label, p)
         assert 0 < kept < 210
+
+
+UNIT_ROUNDOFF = Fraction(1, 2**53)
+
+
+class _Bounded:
+    """An exact rational value, and a bound on how far the float computation of
+    the same expression can lie from it.
+
+    Every operation mirrors one float operation: the operands' error bounds
+    propagate exactly (no linearisation), and rounding the result adds the
+    unit roundoff times its magnitude.  Ints and floats met as operands are
+    exact.
+    """
+
+    __slots__ = ("v", "e")
+
+    def __init__(self, v, e=0):
+        self.v, self.e = Fraction(v), Fraction(e)
+
+    @staticmethod
+    def _of(other):
+        return other if isinstance(other, _Bounded) else _Bounded(other)
+
+    @staticmethod
+    def _rounded(v, e):
+        return _Bounded(v, e + UNIT_ROUNDOFF * (abs(v) + e))
+
+    def __add__(self, other):
+        other = self._of(other)
+        return self._rounded(self.v + other.v, self.e + other.e)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._of(other)
+        return self._rounded(self.v - other.v, self.e + other.e)
+
+    def __rsub__(self, other):
+        return self._of(other) - self
+
+    def __neg__(self):
+        return _Bounded(-self.v, self.e)
+
+    def __mul__(self, other):
+        other = self._of(other)
+        return self._rounded(self.v * other.v,
+                             abs(self.v) * other.e + abs(other.v) * self.e + self.e * other.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._of(other)
+        assert other.e < abs(other.v), "divisor bound includes zero"
+        q = self.v / other.v
+        return self._rounded(q, (self.e + abs(q) * other.e) / (abs(other.v) - other.e))
+
+    def __abs__(self):
+        return abs(self.v)
+
+
+def _bounded_lv_step(p, x, y, h, tol=DEFAULT_STEP_TOL):
+    """lv_step's operations on _Bounded values, from the float inputs x, y, h.
+
+    Each parameter enters with its exact rounding error as a float.  The branch
+    tests see exact values; at points away from the degenerate ones they agree
+    with the float tests.
+    """
+    vals = [_Bounded(q, abs(Fraction(float(q)) - q)) for q in p.to_list()]
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(
+        vals, _Bounded(x), _Bounded(y), _Bounded(h), _Bounded(1))
+    p2, p1, p0 = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)
+    if abs(p2) <= tol * (abs(p1) + abs(p0) + 1.0):
+        yt = _linear_root(p1, p0, tol)
+        return _recover(c1 + v1 * yt, u1 + uv1 * yt, c2 + v2 * yt, u2 + uv2 * yt, tol), yt
+    q2, q1, q0 = _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)
+    assert abs(q2) <= tol * (abs(q1) + abs(q0) + 1.0)
+    xt = _linear_root(q1, q0, tol)
+    return xt, _recover(c1 + u1 * xt, v1 + uv1 * xt, c2 + u2 * xt, v2 + uv2 * xt, tol)
+
+
+class TestFloatStepAgainstExact:
+    """The float lv_step lies within a rounding-error bound of the exact step."""
+
+    @pytest.mark.parametrize("p", [KAHAN_SCHEME, MICKENS_SCHEME, CASE_VI_SCHEME],
+                             ids=["kahan", "mickens", "case-vi"])
+    def test_within_derived_bound(self, p):
+        rng = random.Random(2013)
+        for _ in range(200):
+            x = rng.randint(1, 400) / 103
+            y = rng.randint(1, 400) / 107
+            h = rng.randint(1, 50) / 101 * rng.choice((1, -1))
+            exact = _exact_step(p, Fraction(x), Fraction(y), Fraction(h))
+            bounded = _bounded_lv_step(p, x, y, h)
+            assert tuple(b.v for b in bounded) == exact
+            for got, b in zip(lv_step(p, x, y, h), bounded):
+                assert abs(Fraction(got) - b.v) <= b.e, (x, y, h)
+                assert b.e <= 1e-10 * abs(b.v)  # the bound itself is informative
