@@ -12,7 +12,9 @@ the script once per checkout and diff the two listings:
 
 The set covers `verify` (all suites at two seeds, each suite alone),
 `integrate` in CSV and JSON for every model and method pairing, three runs
-that stop at a typed map failure, and `classify --certify` on the Kahan,
+that stop at a typed map failure, eleven short runs whose outcome the model
+table decides (rejected `--params`, custom parameters, the `h > eps` warning,
+a wrong `x0` dimension), and `classify --certify` on the Kahan,
 Mickens and case-VI schemes, on the all-1/4 set, which is not certified, and
 on one member of each birational case template i-vii.
 """
@@ -34,6 +36,25 @@ INTEGRATE = (
     ["--model", "lv", "--method", "lv-family", "--params", MICKENS, "--h", "0.01"],
     ["--model", "schnakenberg", "--method", "schnakenberg", "--h", "0.01"],
     ["--model", "schnakenberg", "--method", "euler", "--h", "0.01"],
+)
+# What models.MODELS decides: allowed --params keys, parameter checks, the quadratic
+# field, the fast scale behind the h > eps warning and the state dimension.
+TABLE = (
+    ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3", "--params", "foo=1"],
+    ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3", "--params", "mu=0.5"],
+    ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3",
+     "--params", "mu=0.7,nu=0.6,eps=0.1"],
+    ["--model", "enzyme4", "--method", "kahan", "--h", "1e-2",
+     "--params", "k1=-1,km1=0.5,k2=0.1"],
+    ["--model", "lv", "--method", "kahan", "--h", "0.01", "--params", "a=1"],
+    ["--model", "schnakenberg", "--method", "schnakenberg", "--h", "0.01",
+     "--params", "a=0.2,b=0.6"],
+    ["--model", "schnakenberg", "--method", "kahan", "--h", "0.01"],
+    ["--model", "enzyme3", "--method", "kahan", "--h", "0.1"],
+    ["--model", "enzyme4", "--method", "kahan", "--h", "0.1"],
+    ["--model", "enzyme4", "--method", "kahan", "--h", "1e-2",
+     "--params", "k1=2,km1=0.3,k2=0.4,s0=2,e0=0.05"],
+    ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3", "--x0", "1,0"],
 )
 CERTIFY = (
     "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2",  # KAHAN_SCHEME
@@ -64,6 +85,7 @@ def runs() -> list[list[str]]:
                 "--x0", "8,0.01", "--steps", "400"])
     out.append(["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "1",
                 "--x0", "1e308,-1e308,1e308", "--steps", "5"])
+    out += [["integrate", *spec, "--steps", "200"] for spec in TABLE]
     out += [["classify", params, "--certify"] for params in CERTIFY]
     return out
 

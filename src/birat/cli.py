@@ -44,15 +44,10 @@ from .lvfamily import (
     symplectic_residual,
 )
 from .models import (
-    MODEL_STATE_NAMES,
-    DimensionlessEnzymeParams,
-    EnzymeParams,
-    SchnakenbergParams,
+    MODELS,
     enzyme_diml_vf,
     enzyme_reduced_vf,
-    enzyme_vf,
     lv_vf,
-    model_default_x0,
     model_vector_field,
     schnakenberg_inverse_step,
     schnakenberg_step,
@@ -62,13 +57,6 @@ from .models import (
 log = logging.getLogger("birat.cli")
 
 FMT = "{:.17g}"
-
-MODEL_PARAM_KEYS = {
-    "enzyme4": ("k1", "km1", "k2", "s0", "e0"),
-    "enzyme3": ("mu", "nu", "eps"),
-    "lv": (),
-    "schnakenberg": ("a", "b"),
-}
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -167,8 +155,8 @@ def _build_run_config(args) -> RunConfig:
             merged[key] = val
 
     model = merged.get("model")
-    if model not in MODEL_STATE_NAMES:
-        raise ConfigError(f"model: expected one of {sorted(MODEL_STATE_NAMES)}, got {model!r}")
+    if model not in MODELS:
+        raise ConfigError(f"model: expected one of {sorted(MODELS)}, got {model!r}")
     method = merged.get("method")
     if method is None:
         raise ConfigError("method: required")
@@ -226,7 +214,10 @@ def _build_run_config(args) -> RunConfig:
             pmap = _parse_param_map(params_raw)
         elif isinstance(params_raw, dict):
             pmap = {k: str(v) for k, v in params_raw.items()}
-        allowed = MODEL_PARAM_KEYS[model]
+        elif params_raw not in (None, ""):
+            raise ConfigError(f"params: expected key=value text or an object,"
+                              f" got {params_raw!r}")
+        allowed = MODELS[model].param_keys
         for key in pmap:
             if key not in allowed:
                 raise ConfigError(f"params: unknown key {key!r} for model {model}"
@@ -245,21 +236,6 @@ def _build_run_config(args) -> RunConfig:
         if not all(map(math.isfinite, cfg.x0)):
             raise ConfigError("x0: components must be finite")
     return cfg
-
-
-def _model_params(cfg: RunConfig):
-    given = cfg.params or {}
-    try:
-        if cfg.model == "enzyme4":
-            return EnzymeParams(**given) if given else EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01)
-        if cfg.model == "enzyme3":
-            return DimensionlessEnzymeParams(**given) if given \
-                else DimensionlessEnzymeParams(0.5, 0.6, 1e-2)
-        if cfg.model == "schnakenberg":
-            return SchnakenbergParams(**given) if given else SchnakenbergParams(0.1, 0.5)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    return None
 
 
 def _make_stepper(cfg: RunConfig,
@@ -340,15 +316,18 @@ def _emit_trajectory(cfg: RunConfig, names, rows, error: dict | None) -> None:
 
 def cmd_integrate(args) -> int:
     cfg = _build_run_config(args)
-    params = _model_params(cfg)
-    if cfg.model in ("enzyme3", "enzyme4"):
-        eps = params.eps if cfg.model == "enzyme3" else params.e0 / params.s0
-        if cfg.h > eps:
-            log.warning("h=%g exceeds eps=%g; the fast transient will be"
-                        " underresolved", cfg.h, eps)
+    spec = MODELS[cfg.model]
+    try:
+        params = spec.params(**cfg.params) if cfg.params else spec.defaults
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}") from exc
+    eps = spec.fast_scale(params) if spec.fast_scale else math.inf
+    if abs(cfg.h) > eps:
+        log.warning("h=%g exceeds eps=%g; the fast transient will be"
+                    " underresolved", cfg.h, eps)
 
-    names = MODEL_STATE_NAMES[cfg.model]
-    x0 = cfg.x0 if cfg.x0 is not None else list(model_default_x0(cfg.model, params))
+    names = spec.state_names
+    x0 = cfg.x0 if cfg.x0 is not None else spec.default_x0(params)
     if len(x0) != len(names):
         raise ConfigError(f"x0: expected dimension {len(names)} for model"
                           f" {cfg.model}, got {len(x0)}")
@@ -390,25 +369,18 @@ def _check(name: str, value: float, threshold: float, ok: bool | None = None) ->
 
 
 def _suite_conservation(seed: int, tol: float) -> list[dict]:
-    p3 = DimensionlessEnzymeParams(0.5, 0.6, 1e-2)
-    cfg = KahanStepConfig(h=1e-3)
-    vf = enzyme_diml_vf(p3)
-    states = iterate_map(lambda x: kahan_step(vf, x, cfg), [1.0, 0.0, 0.0], 20000)
-    traj = Trajectory.from_states(states, 1e-3, "enzyme3")
-    drift3 = conservation_drift(traj, np.array([1.0, p3.eps, 1.0]))
-
-    p4 = EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01)
-    vf4 = enzyme_vf(p4)
-    cfg4 = KahanStepConfig(h=1e-2)
-    states = iterate_map(lambda x: kahan_step(vf4, x, cfg4), [p4.s0, p4.e0, 0.0, 0.0], 5000)
-    traj4 = Trajectory.from_states(states, 1e-2, "enzyme4")
-    drift_ec = conservation_drift(traj4, np.array([0.0, 1.0, 1.0, 0.0]))
-    drift_scp = conservation_drift(traj4, np.array([1.0, 0.0, 1.0, 1.0]))
-    return [
-        _check("enzyme3-linear-integral-drift", drift3, tol),
-        _check("enzyme4-e-plus-c-drift", drift_ec, tol),
-        _check("enzyme4-s-plus-c-plus-p-drift", drift_scp, tol),
-    ]
+    checks = []
+    for model, h, steps in (("enzyme3", 1e-3, 20000), ("enzyme4", 1e-2, 5000)):
+        spec = MODELS[model]
+        vf = spec.field(spec.defaults)
+        cfg = KahanStepConfig(h=h)
+        states = iterate_map(lambda x: kahan_step(vf, x, cfg),
+                             spec.default_x0(spec.defaults), steps)
+        traj = Trajectory.from_states(states, h, model)
+        for label, w in spec.invariants(spec.defaults).items():
+            checks.append(_check(f"{model}-{label}-drift",
+                                 conservation_drift(traj, np.array(w)), tol))
+    return checks
 
 
 def _sample_points(seed: int, n: int) -> np.ndarray:
@@ -442,14 +414,14 @@ def _suite_roundtrip(seed: int, tol: float) -> list[dict]:
         err = roundtrip_error(fwd, inv, pts)
         checks.append(_check(f"case-{label}-roundtrip", err, tol))
 
-    vf = enzyme_diml_vf(DimensionlessEnzymeParams(0.5, 0.6, 1e-2))
+    vf = enzyme_diml_vf(MODELS["enzyme3"].defaults)
     cfg = KahanStepConfig(h=1e-3)
     pts3 = np.random.default_rng(seed).random((50, 3))
     err = roundtrip_error(lambda p: kahan_step(vf, p, cfg),
                           lambda p: kahan_inverse_step(vf, p, cfg), pts3)
     checks.append(_check("enzyme3-kahan-roundtrip", err, min(tol, 1e-10)))
 
-    sp = SchnakenbergParams(0.1, 0.5)
+    sp = MODELS["schnakenberg"].defaults
     err = roundtrip_error(
         lambda p: np.array(schnakenberg_step(sp, p[0], p[1], 0.01)),
         lambda p: np.array(schnakenberg_inverse_step(sp, p[0], p[1], 0.01)),
@@ -500,7 +472,7 @@ def _suite_multipliers(seed: int, tol: float) -> list[dict]:
         dev = multiplier_agreement(_fd_map_jacobian(vf, [1.0, 1.0], h), vf, [1.0, 1.0], h)
         checks.append(_check(f"lv-multiplier-agreement-h{h:g}", dev, 1e-8))
 
-    rvf = enzyme_reduced_vf(DimensionlessEnzymeParams(0.5, 0.6, 1e-2))
+    rvf = enzyme_reduced_vf(MODELS["enzyme3"].defaults)
     jac_r = _fd_map_jacobian(rvf, [0.0, 0.0], 0.01)
     dev = multiplier_agreement(jac_r, rvf, [0.0, 0.0], 0.01)
     mults = np.linalg.eigvals(jac_r)
@@ -574,7 +546,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_int = sub.add_parser("integrate", help="run a model and write the trajectory")
-    p_int.add_argument("--model", choices=sorted(MODEL_STATE_NAMES))
+    p_int.add_argument("--model", choices=sorted(MODELS))
     p_int.add_argument("--method")
     p_int.add_argument("--params")
     p_int.add_argument("--h", dest="h")

@@ -12,7 +12,8 @@ eps = e0/s0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 
@@ -125,18 +126,8 @@ def enzyme_diml_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
 
 def enzyme_reduced_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
     """The closed (x, y) subsystem of :func:`enzyme_diml_vf`."""
-    inv_eps = 1.0 / p.eps
-    lin = [
-        (0, 0, -1.0),
-        (0, 1, p.mu),
-        (1, 0, inv_eps),
-        (1, 1, -p.nu * inv_eps),
-    ]
-    quad = [
-        (0, 0, 1, 1.0),
-        (1, 0, 1, -inv_eps),
-    ]
-    return QuadraticVectorField.from_triplets(2, lin_triplets=lin, quad_triplets=quad)
+    full = enzyme_diml_vf(p)
+    return QuadraticVectorField(full.c0[:2], full.lin[:2, :2], full.quad[:2, :2, :2])
 
 
 def product_accumulate(y_values, h: float, p: DimensionlessEnzymeParams) -> np.ndarray:
@@ -238,42 +229,69 @@ def hopf_unstable_b(a: float, trace_target: float = 0.25, b_grid=None) -> float:
     raise ValueError(f"no b in the grid reaches trace {trace_target} for a={a}")
 
 
-# -- registry --------------------------------------------------------------------
+# -- model table -----------------------------------------------------------------
 
-MODEL_STATE_NAMES = {
-    "enzyme4": ("s", "e", "c", "p"),
-    "enzyme3": ("x", "y", "z"),
-    "lv": ("x", "y"),
-    "schnakenberg": ("x", "y"),
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """One row of :data:`MODELS`; the callables take the model's parameter instance.
+
+    The fields of ``params`` are the allowed ``--params`` keys. ``field`` is
+    ``None`` for a model that is not quadratic, and ``fast_scale`` (the ``eps``
+    a step should not exceed) for one without a fast transient. ``invariants``
+    names the row vectors ``w`` with ``w·f ≡ 0``: ``w·x`` is a first integral
+    that a Kahan step keeps exactly.
+    """
+
+    state_names: tuple[str, ...]
+    params: type | None
+    defaults: object
+    field: Callable[[object], QuadraticVectorField] | None
+    default_x0: Callable[[object], list[float]]
+    fast_scale: Callable[[object], float] | None = None
+    invariants: Callable[[object], dict[str, tuple[float, ...]]] = lambda p: {}
+
+    @property
+    def param_keys(self) -> tuple[str, ...]:
+        return tuple(f.name for f in fields(self.params)) if self.params else ()
+
+
+def _schnakenberg_x0(p: SchnakenbergParams) -> list[float]:
+    """The steady state with x moved up by 10%."""
+    xs, ys = schnakenberg_steady_state(p)
+    return [1.1 * xs, ys]
+
+
+MODELS: dict[str, ModelSpec] = {
+    "enzyme4": ModelSpec(
+        ("s", "e", "c", "p"), EnzymeParams, EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01),
+        field=enzyme_vf,
+        default_x0=lambda p: [p.s0, p.e0, 0.0, 0.0],
+        fast_scale=lambda p: p.e0 / p.s0,
+        invariants=lambda p: {"e-plus-c": (0.0, 1.0, 1.0, 0.0),
+                              "s-plus-c-plus-p": (1.0, 0.0, 1.0, 1.0)}),
+    "enzyme3": ModelSpec(
+        ("x", "y", "z"), DimensionlessEnzymeParams, DimensionlessEnzymeParams(0.5, 0.6, 1e-2),
+        field=enzyme_diml_vf,
+        default_x0=lambda p: [1.0, 0.0, 0.0],
+        fast_scale=lambda p: p.eps,
+        invariants=lambda p: {"linear-integral": (1.0, p.eps, 1.0)}),
+    "lv": ModelSpec(
+        ("x", "y"), None, None,
+        field=lambda p: lv_vf(),
+        default_x0=lambda p: [2.0, 0.5]),
+    "schnakenberg": ModelSpec(
+        ("x", "y"), SchnakenbergParams, SchnakenbergParams(0.1, 0.5),
+        field=None,
+        default_x0=_schnakenberg_x0),
 }
 
 
 def model_vector_field(name: str, params=None) -> QuadraticVectorField:
-    """Quadratic field for a registry model; Schnakenberg is cubic and excluded.
-
-    ``params`` is the model's parameter object (EnzymeParams for enzyme4,
-    DimensionlessEnzymeParams for enzyme3, ignored for lv).
-    """
-    if name == "enzyme4":
-        return enzyme_vf(params)
-    if name == "enzyme3":
-        return enzyme_diml_vf(params)
-    if name == "lv":
-        return lv_vf()
-    raise KeyError(f"no quadratic field for model {name!r}")
-
-
-def model_default_x0(name: str, params=None):
-    if name == "enzyme4":
-        return [params.s0, params.e0, 0.0, 0.0]
-    if name == "enzyme3":
-        return [1.0, 0.0, 0.0]
-    if name == "lv":
-        return [2.0, 0.5]
-    if name == "schnakenberg":
-        xs, ys = schnakenberg_steady_state(params)
-        return [1.1 * xs, ys]
-    raise KeyError(f"unknown model {name!r}")
+    """Quadratic field of a :data:`MODELS` row; KeyError for Schnakenberg, which is cubic."""
+    if MODELS[name].field is None:
+        raise KeyError(f"no quadratic field for model {name!r}")
+    return MODELS[name].field(params)
 
 
 __all__ = [
@@ -293,7 +311,7 @@ __all__ = [
     "schnakenberg_steady_state",
     "schnakenberg_trace",
     "hopf_unstable_b",
-    "MODEL_STATE_NAMES",
+    "ModelSpec",
+    "MODELS",
     "model_vector_field",
-    "model_default_x0",
 ]

@@ -458,6 +458,16 @@ class TestConfigFile:
         assert code_rat == code_dec == 0
         assert out_rat == out_dec
 
+    @pytest.mark.parametrize("params", [[0.1, 0.2, 0.3], 0.5], ids=["list", "number"])
+    def test_params_of_wrong_type_rejected(self, tmp_path, params):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "enzyme3", "method": "kahan",
+                                   "h": 0.001, "steps": 2, "params": params}))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == ("birat: error: params: expected key=value text or an object,"
+                       f" got {params!r}\n")
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
@@ -504,17 +514,23 @@ class TestScipyNotLoaded:
 
 
 class TestSubprocessLogging:
-    def _run(self, extra_env):
+    def _run(self, extra_env, h="0.1"):
         env = dict(os.environ, **extra_env)
         return subprocess.run(
             [sys.executable, "-m", "birat.cli", "integrate", "--model", "enzyme3",
-             "--method", "kahan", "--h", "0.1", "--steps", "2"],
+             "--method", "kahan", "--h", h, "--steps", "2"],
             capture_output=True, text=True, env=env)
 
     def test_warns_when_h_exceeds_eps(self):
         proc = self._run({})
         assert proc.returncode == 0
         assert "underresolved" in proc.stderr
+
+    def test_warns_when_backward_h_exceeds_eps(self):
+        proc = self._run({}, h="-0.1")
+        assert proc.returncode == 0
+        assert proc.stderr == ("WARNING birat.cli: h=-0.1 exceeds eps=0.01;"
+                               " the fast transient will be underresolved\n")
 
     def test_log_level_gates_warning(self):
         proc = self._run({"BIRAT_LOG": "ERROR"})

@@ -565,3 +565,59 @@ class TestFloatStepAgainstExact:
             for got, b in zip(lv_step(p, x, y, h), bounded):
                 assert abs(Fraction(got) - b.v) <= b.e, (x, y, h)
                 assert b.e <= 1e-10 * abs(b.v)  # the bound itself is informative
+
+
+def _exact_residual(p, x, y, h):
+    """symplectic_residual in Fraction arithmetic, rebuilt from _relation_coeffs.
+
+    dE/d(xt, yt) is (u + uv yt, v + uv xt) from the relation coefficients, and
+    dE/d(x, y) an exact unit difference, as in _keeps_form.
+    """
+    xt, yt = _exact_step(p, x, y, h)
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.to_list(), x, y, h, Fraction(1))
+    det_m = (u1 + uv1 * yt) * (v2 + uv2 * xt) - (v1 + uv1 * xt) * (u2 + uv2 * yt)
+    det_r = _det_partials(_exact_relations(p, h), (x, y, xt, yt), 0, 1)
+    return det_r / det_m - xt * yt / (x * y)
+
+
+def _bounded_symplectic_residual(p, x, y, h):
+    """symplectic_residual's own operations on _Bounded values, from the float inputs.
+
+    The step comes from _bounded_lv_step, each parameter carries its float
+    rounding, and the eight partials are the function's expressions, term for
+    term, so the bound counts exactly the roundings the function performs.
+    """
+    xt, yt = _bounded_lv_step(p, x, y, h)
+    a, b, c, d, e, A, B, C, D, E = [_Bounded(q, abs(Fraction(float(q)) - q))
+                                    for q in p.to_list()]
+    x, y, h = _Bounded(x), _Bounded(y), _Bounded(h)
+    m11 = 1.0 - h * (1.0 - a) + h * (c * yt + e * y)
+    m12 = h * (c * xt + d * x)
+    m21 = -h * (C * yt + E * y)
+    m22 = 1.0 + h * (1.0 - A) - h * (C * xt + D * x)
+    r11 = -1.0 - h * a + h * (b * y + d * yt)
+    r12 = h * (b * x + e * xt)
+    r21 = -h * (B * y + D * yt)
+    r22 = -1.0 + h * A - h * (B * x + E * xt)
+    return (r11 * r22 - r12 * r21) / (m11 * m22 - m12 * m21) - (xt * yt) / (x * y)
+
+
+class TestSymplecticResidualAgainstExact:
+    """The hand-typed partials of symplectic_residual are the relations' partials,
+    and the float residual lies within a rounding bound of the exact one."""
+
+    @pytest.mark.parametrize("p", [KAHAN_SCHEME, MICKENS_SCHEME, CASE_VI_SCHEME,
+                                   case_iv_blend(1)],
+                             ids=["kahan", "mickens", "case-vi", "blend-d1"])
+    def test_within_derived_bound(self, p):
+        rng = random.Random(2014)
+        for _ in range(100):
+            x = rng.randint(1, 400) / 103
+            y = rng.randint(1, 400) / 107
+            h = rng.randint(1, 50) / 101 * rng.choice((1, -1))
+            exact = _exact_residual(p, Fraction(x), Fraction(y), Fraction(h))
+            bounded = _bounded_symplectic_residual(p, x, y, h)
+            assert bounded.v == exact
+            assert abs(Fraction(symplectic_residual(p, x, y, h)) - exact) <= bounded.e, \
+                (x, y, h)
+            assert bounded.e <= 1e-10  # the bound itself is informative

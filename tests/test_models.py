@@ -9,7 +9,7 @@ from birat.errors import DenominatorVanishes, PoleError
 from birat.geomcheck import iterate_map
 from birat.kahan import KahanStepConfig, kahan_step
 from birat.models import (
-    MODEL_STATE_NAMES,
+    MODELS,
     DimensionlessEnzymeParams,
     EnzymeParams,
     SchnakenbergParams,
@@ -19,7 +19,6 @@ from birat.models import (
     hopf_unstable_b,
     lv_vf,
     michaelis_menten,
-    model_default_x0,
     model_vector_field,
     nondimensionalize,
     product_accumulate,
@@ -204,22 +203,60 @@ class TestSchnakenberg:
 
 class TestRegistry:
     def test_state_names(self):
-        assert MODEL_STATE_NAMES["enzyme4"] == ("s", "e", "c", "p")
-        assert MODEL_STATE_NAMES["enzyme3"] == ("x", "y", "z")
-        assert MODEL_STATE_NAMES["lv"] == ("x", "y")
-        assert MODEL_STATE_NAMES["schnakenberg"] == ("x", "y")
+        assert MODELS["enzyme4"].state_names == ("s", "e", "c", "p")
+        assert MODELS["enzyme3"].state_names == ("x", "y", "z")
+        assert MODELS["lv"].state_names == ("x", "y")
+        assert MODELS["schnakenberg"].state_names == ("x", "y")
+
+    def test_params_and_fast_scale(self):
+        assert MODELS["enzyme4"].param_keys == ("k1", "km1", "k2", "s0", "e0")
+        assert MODELS["enzyme3"].param_keys == ("mu", "nu", "eps")
+        assert MODELS["lv"].param_keys == ()
+        assert MODELS["schnakenberg"].param_keys == ("a", "b")
+        assert (MODELS["enzyme4"].defaults, MODELS["enzyme3"].defaults,
+                MODELS["lv"].defaults, MODELS["schnakenberg"].defaults) == \
+            (ENZ4, ENZ3, None, SCHNAK)
+        assert MODELS["enzyme4"].fast_scale(EnzymeParams(1.0, 0.5, 0.1, 2.0, 0.05)) == 0.025
+        assert MODELS["enzyme3"].fast_scale(ENZ3) == 0.01
+        assert MODELS["lv"].fast_scale is None and MODELS["schnakenberg"].fast_scale is None
 
     def test_vector_field_lookup(self):
+        assert MODELS["enzyme3"].field(ENZ3).dim == 3
+        assert MODELS["enzyme4"].field(ENZ4).dim == 4
+        assert MODELS["lv"].field(None).dim == 2
+        assert MODELS["schnakenberg"].field is None
         assert model_vector_field("enzyme3", ENZ3).dim == 3
-        assert model_vector_field("enzyme4", ENZ4).dim == 4
-        assert model_vector_field("lv").dim == 2
         with pytest.raises(KeyError):
             model_vector_field("schnakenberg", SCHNAK)
+        with pytest.raises(KeyError):
+            model_vector_field("brusselator")
 
     def test_default_x0(self):
-        assert model_default_x0("enzyme3") == [1.0, 0.0, 0.0]
-        assert model_default_x0("enzyme4", ENZ4) == [1.0, 0.01, 0.0, 0.0]
-        assert model_default_x0("lv") == [2.0, 0.5]
-        x0 = model_default_x0("schnakenberg", SCHNAK)
+        assert MODELS["enzyme3"].default_x0(ENZ3) == [1.0, 0.0, 0.0]
+        assert MODELS["enzyme4"].default_x0(ENZ4) == [1.0, 0.01, 0.0, 0.0]
+        assert MODELS["lv"].default_x0(None) == [2.0, 0.5]
+        x0 = MODELS["schnakenberg"].default_x0(SCHNAK)
         xs, ys = schnakenberg_steady_state(SCHNAK)
         assert x0 == pytest.approx([1.1 * xs, ys])
+
+    @pytest.mark.parametrize("name, nullity", [("enzyme4", 2), ("enzyme3", 1), ("lv", 0)])
+    def test_declared_invariants_span_derived_ones(self, name, nullity):
+        # w . f == 0 for every x iff w annihilates each monomial's coefficient
+        # column, so the linear first integrals are the left null space of
+        # [c0 | lin | quad], one row per component.
+        spec = MODELS[name]
+        vf = spec.field(spec.defaults)
+        d = vf.dim
+        coeffs = np.hstack([vf.c0[:, None], vf.lin, vf.quad.reshape(d, -1)])
+        u, s, _ = np.linalg.svd(coeffs)
+        rank = int((s > s[0] * max(coeffs.shape) * np.finfo(float).eps).sum())
+        null = u[:, rank:]
+        assert null.shape[1] == nullity
+        declared = np.array(list(spec.invariants(spec.defaults).values()),
+                            dtype=float).reshape(-1, d)
+        assert declared.shape[0] == nullity
+        if nullity:
+            assert np.linalg.matrix_rank(declared) == nullity
+            # each declared w lies in the derived space: its part outside is rounding
+            outside = declared - (declared @ null) @ null.T
+            assert np.abs(outside).max() <= 1e-12 * np.abs(declared).max()
