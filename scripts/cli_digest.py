@@ -16,7 +16,10 @@ that stop at a typed map failure, eleven short runs whose outcome the model
 table decides (rejected `--params`, custom parameters, the `h > eps` warning,
 a wrong `x0` dimension), and `classify --certify` on the Kahan,
 Mickens and case-VI schemes, on the all-1/4 set, which is not certified, and
-on one member of each birational case template i-vii.
+on one member of each birational case template i-vii.  Appended last, so the
+earlier lines keep their order: numbers beyond the float range in `--h`,
+`--x0` and `--params`, a backward run with |h| > eps, and `classify --certify`
+on a non-case set with unequal denominators up to 12.
 """
 import argparse
 import hashlib
@@ -69,6 +72,16 @@ CERTIFY = (
     "1/3,0,1/2,1/2,0,2/3,-1,0,2,0",  # vi, symplectic III
     "1/5,1/4,0,0,3/4,1/2,0,3/2,0,-1/2",  # vii, symplectic I
 )
+# Runs added after the lists above; appended at the end of the listing.
+LATER = (
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "1e400", "--steps", "2"],
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--x0", "1e400,1",
+     "--steps", "2"],
+    ["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "1e-3",
+     "--params", "mu=0.5,nu=1e400,eps=0.1", "--steps", "2"],
+    ["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "-0.1", "--steps", "200"],
+    ["classify", "5/12,1/6,1/4,1/3,1/4,7/11,1/12,1/3,1/4,1/3", "--certify"],  # non-case
+)
 
 
 def runs() -> list[list[str]]:
@@ -87,6 +100,7 @@ def runs() -> list[list[str]]:
                 "--x0", "1e308,-1e308,1e308", "--steps", "5"])
     out += [["integrate", *spec, "--steps", "200"] for spec in TABLE]
     out += [["classify", params, "--certify"] for params in CERTIFY]
+    out += [list(run) for run in LATER]
     return out
 
 

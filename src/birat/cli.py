@@ -84,17 +84,21 @@ def parse_rational(text: str) -> Fraction:
 
 def _parse_float(text: str, what: str) -> float:
     try:
-        return float(parse_rational(text))
+        value = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: cannot parse {text!r} as a number") from exc
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{what}: {text!r} is beyond the float range") from exc
 
 
 def _config_float(value, what: str) -> float:
-    """A JSON number as is, a string as a rational; any other type is rejected."""
-    if isinstance(value, str):
-        return _parse_float(value, what)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+    """A JSON float as is, an integer or a string as a rational; any other type is rejected."""
+    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
+        return _parse_float(str(value), what)
+    if isinstance(value, float):
+        return value
     raise ConfigError(f"{what}: expected a number, got {value!r}")
 
 
@@ -145,9 +149,12 @@ def _build_run_config(args) -> RunConfig:
     if args.config:
         try:
             with open(args.config) as fh:
-                merged.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+                loaded = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or an over-long integer
             raise ConfigError(f"config: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(loaded).__name__}")
+        merged.update(loaded)
     for key in ("model", "method", "h", "steps", "x0", "params",
                 "output", "format", "tol"):
         val = getattr(args, key, None)
@@ -204,6 +211,8 @@ def _build_run_config(args) -> RunConfig:
             vals = [parse_rational(t) for t in toks]
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"params: {exc}") from exc
+        for tok in toks:  # the step runs on the float values
+            _parse_float(tok, "params")
         try:
             cfg.scheme = LVParams.from_list(vals).to_list()
         except (ConstraintViolation, ValueError) as exc:
@@ -217,11 +226,15 @@ def _build_run_config(args) -> RunConfig:
         elif params_raw not in (None, ""):
             raise ConfigError(f"params: expected key=value text or an object,"
                               f" got {params_raw!r}")
-        allowed = MODELS[model].param_keys
+        allowed, required = MODELS[model].param_keys, MODELS[model].required_keys
         for key in pmap:
             if key not in allowed:
                 raise ConfigError(f"params: unknown key {key!r} for model {model}"
                                   f" (allowed: {', '.join(allowed) or 'none'})")
+        missing = [key for key in required if key not in pmap]
+        if pmap and missing:
+            raise ConfigError(f"params: missing {', '.join(missing)} for model {model}"
+                              f" (required: {', '.join(required)})")
         cfg.params = {k: _parse_float(v, f"params.{k}") for k, v in pmap.items()}
 
     x0_raw = merged.get("x0")
@@ -323,8 +336,8 @@ def cmd_integrate(args) -> int:
         raise ConfigError(f"params: {exc}") from exc
     eps = spec.fast_scale(params) if spec.fast_scale else math.inf
     if abs(cfg.h) > eps:
-        log.warning("h=%g exceeds eps=%g; the fast transient will be"
-                    " underresolved", cfg.h, eps)
+        log.warning("%s=%g exceeds eps=%g; the fast transient will be underresolved",
+                    "h" if cfg.h > 0 else "|h|", abs(cfg.h), eps)
 
     names = spec.state_names
     x0 = cfg.x0 if cfg.x0 is not None else spec.default_x0(params)

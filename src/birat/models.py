@@ -12,7 +12,7 @@ eps = e0/s0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -254,6 +254,14 @@ class ModelSpec:
     @property
     def param_keys(self) -> tuple[str, ...]:
         return tuple(f.name for f in fields(self.params)) if self.params else ()
+
+    @property
+    def required_keys(self) -> tuple[str, ...]:
+        """The ``param_keys`` with no default: a partial ``--params`` set must name them."""
+        if not self.params:
+            return ()
+        return tuple(f.name for f in fields(self.params)
+                     if f.default is MISSING and f.default_factory is MISSING)
 
 
 def _schnakenberg_x0(p: SchnakenbergParams) -> list[float]:

@@ -1,7 +1,9 @@
 """Exact sparse polynomials in the variables x, y, h with rational coefficients.
 
-Coefficients are ``fractions.Fraction`` throughout, so every operation here is
-exact.  Monomials are keyed by exponent triples (ex, ey, eh) and compared
+A polynomial is stored as integer numerators over one positive common
+denominator in lowest terms, so every operation here is exact and runs on
+Python integers; ``terms`` gives the coefficients as ``fractions.Fraction``.
+Monomials are keyed by exponent triples (ex, ey, eh) and compared
 lexicographically in that order, which is the term order used by the perfect
 square test.
 """
@@ -20,59 +22,48 @@ def _as_fraction(value) -> Fraction:
     """Coerce to Fraction, rejecting floats: exactness is the point here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(
-        f"expected an exact rational (Fraction, int or string), got {type(value).__name__}"
-    )
-
-
-def _sqrt_fraction(q: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None."""
-    if q < 0:
-        return None
-    rn = math.isqrt(q.numerator)
-    rd = math.isqrt(q.denominator)
-    if rn * rn != q.numerator or rd * rd != q.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-def _integer_numerators(terms) -> tuple[int, list[tuple[tuple[int, int, int], int]]]:
-    """(d, [(key, coeff * d)]) with d the lcm of the coefficient denominators."""
-    d = 1
-    for coeff in terms.values():
-        d = math.lcm(d, coeff.denominator)
-    return d, [(key, coeff.numerator * (d // coeff.denominator)) for key, coeff in terms.items()]
+    raise TypeError(f"expected an exact rational (Fraction, int or string),"
+                    f" got {type(value).__name__}")
 
 
 class MultiPoly:
-    """Sparse polynomial over Q in x, y, h."""
+    """Sparse polynomial over Q in x, y, h, stored as ``num / den``.
 
-    __slots__ = ("terms",)
+    ``num`` maps exponent triples to nonzero integers and ``den`` is a positive
+    integer with ``gcd(den, *num.values()) == 1``; zero is ``({}, 1)``.  Every
+    polynomial has exactly one such form, so ``==`` and ``hash`` compare it.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, terms=None):
         clean: dict[tuple[int, int, int], Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                ex, ey, eh = (int(e) for e in key)
-                if ex < 0 or ey < 0 or eh < 0:
-                    raise ValueError(f"negative exponent in {key}")
-                coeff = _as_fraction(coeff)
-                if coeff != 0:
-                    clean[(ex, ey, eh)] = coeff
-        self.terms = clean
+        for key, coeff in (terms or {}).items():
+            ex, ey, eh = (int(e) for e in key)
+            if ex < 0 or ey < 0 or eh < 0:
+                raise ValueError(f"negative exponent in {key}")
+            coeff = _as_fraction(coeff)
+            if coeff != 0:
+                clean[(ex, ey, eh)] = coeff
+        # the lcm of reduced denominators is already coprime to the numerators
+        self.den = math.lcm(*(c.denominator for c in clean.values()))
+        self.num = {key: c.numerator * (self.den // c.denominator) for key, c in clean.items()}
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _raw(cls, terms: dict) -> "MultiPoly":
-        """Trusted constructor for ring results: keys are already exponent
-        triples and values already Fractions, so only zero terms are dropped."""
+    def _raw(cls, num: dict, den: int) -> "MultiPoly":
+        """Trusted constructor for ring results: integer numerators over ``den > 0``;
+        zero numerators are dropped and the common gcd divided out."""
         poly = object.__new__(cls)
-        poly.terms = {key: coeff for key, coeff in terms.items() if coeff}
+        if 0 in num.values():
+            num = {key: n for key, n in num.items() if n}
+        g = math.gcd(den, *num.values())
+        if g != 1:
+            num = {key: n // g for key, n in num.items()}
+        poly.num, poly.den = num, den // g
         return poly
 
     @classmethod
@@ -81,13 +72,19 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value) -> "MultiPoly":
-        return cls({(0, 0, 0): _as_fraction(value)})
+        value = _as_fraction(value)
+        return cls._raw({(0, 0, 0): value.numerator}, value.denominator)
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
         exps = [0, 0, 0]
         exps[_VAR_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return cls._raw({tuple(exps): 1}, 1)
+
+    @property
+    def terms(self) -> dict[tuple[int, int, int], Fraction]:
+        """A fresh ``{exponents: Fraction}`` dict of the nonzero coefficients."""
+        return {key: Fraction(n, self.den) for key, n in self.num.items()}
 
     # -- ring operations ---------------------------------------------------
 
@@ -96,24 +93,26 @@ class MultiPoly:
             return other
         return MultiPoly.constant(other)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int) -> "MultiPoly":
+        """self + sign * other over the lcm of the two denominators."""
         other = self._coerce(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) + coeff
-        return MultiPoly._raw(out)
+        den = math.lcm(self.den, other.den)
+        scale_a, scale_b = den // self.den, sign * (den // other.den)
+        out = {key: n * scale_a for key, n in self.num.items()}
+        for key, n in other.num.items():
+            out[key] = out.get(key, 0) + n * scale_b
+        return MultiPoly._raw(out, den)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw({key: -coeff for key, coeff in self.terms.items()})
+        return MultiPoly._raw({key: -n for key, n in self.num.items()}, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            out[key] = out.get(key, 0) - coeff
-        return MultiPoly._raw(out)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return self._coerce(other) - self
@@ -121,30 +120,22 @@ class MultiPoly:
     def __mul__(self, other):
         if not isinstance(other, MultiPoly):
             scalar = _as_fraction(other)
-            if scalar == 0:
-                return MultiPoly.zero()
-            return MultiPoly._raw({key: coeff * scalar for key, coeff in self.terms.items()})
-        # Multiply integer numerators over each side's common denominator and
-        # divide once per output term: one Fraction normalisation per term
-        # instead of one per product and per partial sum.
-        da, a_terms = _integer_numerators(self.terms)
-        db, b_terms = _integer_numerators(other.terms)
+            return MultiPoly._raw({key: n * scalar.numerator for key, n in self.num.items()},
+                                  self.den * scalar.denominator)
         acc: dict[tuple[int, int, int], int] = {}
-        for (ax, ay, ah), an in a_terms:
+        b_terms = other.num.items()
+        for (ax, ay, ah), an in self.num.items():
             for (bx, by, bh), bn in b_terms:
                 key = (ax + bx, ay + by, ah + bh)
                 acc[key] = acc.get(key, 0) + an * bn
-        den = da * db
-        return MultiPoly._raw({key: Fraction(n, den) for key, n in acc.items() if n})
+        return MultiPoly._raw(acc, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int):
         if exponent < 0:
             raise ValueError("negative power of a polynomial")
-        result = MultiPoly.constant(1)
-        base = self
-        n = exponent
+        result, base, n = MultiPoly.constant(1), self, exponent
         while n:
             if n & 1:
                 result = result * base
@@ -158,62 +149,59 @@ class MultiPoly:
                 other = MultiPoly.constant(other)
             except TypeError:
                 return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.num.items())))
 
     # -- queries -----------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def degree(self, name: str) -> int:
         """Largest exponent of the named variable; -1 for the zero polynomial."""
         idx = _VAR_INDEX[name]
-        if not self.terms:
-            return -1
-        return max(key[idx] for key in self.terms)
+        return max((key[idx] for key in self.num), default=-1)
 
     def leading_term(self) -> tuple[tuple[int, int, int], Fraction]:
         """Term with the lexicographically largest exponent triple."""
-        if not self.terms:
+        if not self.num:
             raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms)
-        return key, self.terms[key]
+        key = max(self.num)
+        return key, Fraction(self.num[key], self.den)
 
     # -- evaluation ----------------------------------------------------------
 
     def evaluate(self, x, y, h) -> Fraction:
         """Exact evaluation at rational arguments."""
         x, y, h = _as_fraction(x), _as_fraction(y), _as_fraction(h)
-        total = Fraction(0)
-        for (ex, ey, eh), coeff in self.terms.items():
-            total += coeff * x**ex * y**ey * h**eh
-        return total
+        total = sum((n * x**ex * y**ey * h**eh for (ex, ey, eh), n in self.num.items()),
+                    Fraction(0))
+        return total / self.den
 
     def evaluate_float(self, x: float, y: float, h: float) -> float:
         total = 0.0
-        for (ex, ey, eh), coeff in self.terms.items():
-            total += float(coeff) * x**ex * y**ey * h**eh
+        for (ex, ey, eh), n in self.num.items():
+            total += n / self.den * x**ex * y**ey * h**eh
         return total
 
     def negate_h(self) -> "MultiPoly":
         """Substitute h -> -h."""
-        return MultiPoly._raw(
-            {key: -coeff if key[2] % 2 else coeff for key, coeff in self.terms.items()}
-        )
+        return MultiPoly._raw({key: -n if key[2] % 2 else n for key, n in self.num.items()},
+                              self.den)
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
         """Plain-text form such as ``3/2*x^2*h - y``; zero renders as ``0``."""
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         chunks = []
-        for key in sorted(self.terms, reverse=True):
-            coeff = self.terms[key]
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             factors = []
             for name, exp in zip(VARIABLES, key):
                 if exp == 1:
@@ -281,40 +269,52 @@ def parse_poly(text: str) -> MultiPoly:
 def perfect_square_root(p: MultiPoly) -> MultiPoly | None:
     """Exact square root of p, or None when p is not a polynomial square.
 
-    Works by peeling the root one term at a time in lexicographic order: the
-    leading term of p must be a square, and each further root term is forced
-    by the leading term of the running remainder divided by twice the root's
-    leading term.  The reconstruction either terminates with remainder zero
-    or fails a monomial division, which certifies p is not a square.  The
+    With ``p = P/d`` (integer numerators ``P``), p is a square in Q[x, y, h]
+    exactly when ``P*d`` is, and a root R of ``P*d`` gives the root ``R/d``.
+    R has integer coefficients: it is a root of ``T^2 - P*d``, and Z[x, y, h]
+    is integrally closed (Gauss's lemma).  R is peeled one term at a time in
+    lexicographic order: the leading term must be a square, and each further
+    root coefficient is forced as ``divmod`` of the running remainder's leading
+    coefficient by twice the root's leading coefficient.  A nonzero division
+    remainder or a failed monomial division certifies p is not a square.  The
     returned root has a positive leading coefficient and is verified by exact
     multiplication before being returned.
     """
     if p.is_zero:
         return MultiPoly.zero()
-    lead_key, lead_coeff = p.leading_term()
-    if any(e % 2 for e in lead_key):
-        return None
-    root_lead_coeff = _sqrt_fraction(lead_coeff)
-    if root_lead_coeff is None:
+    remainder = {key: n * p.den for key, n in p.num.items()}
+    lead_key = max(remainder)
+    lead_coeff = remainder.pop(lead_key)
+    root_lead_coeff = math.isqrt(max(lead_coeff, 0))
+    if any(e % 2 for e in lead_key) or root_lead_coeff * root_lead_coeff != lead_coeff:
         return None
     half_key = tuple(e // 2 for e in lead_key)
     twice_lead = 2 * root_lead_coeff
-
-    root = MultiPoly({half_key: root_lead_coeff})
-    remainder = p - root * root
+    root = {half_key: root_lead_coeff}
     previous = None
-    while not remainder.is_zero:
-        mono, coeff = remainder.leading_term()
+    while remainder:
+        mono = max(remainder)
         if previous is not None and mono >= previous:
             return None  # no lexicographic progress, cannot be a square
         previous = mono
         exps = tuple(m - hk for m, hk in zip(mono, half_key))
         if any(e < 0 for e in exps):
             return None
-        term = MultiPoly({exps: coeff / twice_lead})
-        remainder = remainder - term * (2 * root + term)
-        root = root + term
+        quotient, rest = divmod(remainder[mono], twice_lead)
+        if rest:
+            return None
+        # remainder -= term * (2 * root + term), in place; root += term
+        ex, ey, eh = exps
+        updates = [((ex + rx, ey + ry, eh + rh), 2 * quotient * r)
+                   for (rx, ry, rh), r in root.items()]
+        updates.append(((2 * ex, 2 * ey, 2 * eh), quotient * quotient))
+        for key, n in updates:
+            n = remainder.get(key, 0) - n
+            if n:
+                remainder[key] = n
+            else:
+                del remainder[key]
+        root[exps] = quotient
 
-    if root * root == p:  # exact verification of the reconstruction
-        return root
-    return None
+    root = MultiPoly._raw(root, p.den)
+    return root if root * root == p else None  # exact verification of the reconstruction

@@ -170,6 +170,42 @@ class TestIntegrateConfigErrors:
         assert code == 1
         assert "h" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--model", "lv", "--h", "1e400"], "h: '1e400'"),
+        (["--model", "lv", "--h", "0.1", "--x0", "1e400,1"], "x0: '1e400'"),
+        (["--model", "enzyme3", "--h", "1e-3", "--params", "mu=0.5,nu=1e400,eps=0.1"],
+         "params.nu: '1e400'"),
+    ], ids=["h", "x0", "params"])
+    def test_out_of_range_number_named(self, extra, message):
+        code, out, err = run_cli(["integrate", "--method", "kahan", "--steps", "2", *extra])
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: {message} is beyond the float range\n"
+
+    def test_out_of_range_scheme_value_named(self):
+        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                  "--params", "1e400,0,0,0,1,0,0,-1,0,2",
+                                  "--h", "0.1", "--steps", "2"])
+        assert (code, out) == (1, "")
+        assert err == "birat: error: params: '1e400' is beyond the float range\n"
+
+    @pytest.mark.parametrize("model, params, missing, required", [
+        ("enzyme3", "mu=0.5", "nu, eps", "mu, nu, eps"),
+        ("enzyme4", "k1=2,s0=2", "km1, k2", "k1, km1, k2"),
+    ], ids=["enzyme3", "enzyme4"])
+    def test_partial_params_name_missing_keys(self, model, params, missing, required):
+        code, out, err = run_cli(["integrate", "--model", model, "--method", "kahan",
+                                  "--h", "1e-3", "--steps", "2", "--params", params])
+        assert (code, out) == (1, "")
+        assert err == (f"birat: error: params: missing {missing} for model {model}"
+                       f" (required: {required})\n")
+
+    def test_params_with_defaults_may_be_left_out(self):
+        code, out, _ = run_cli(["integrate", "--model", "enzyme4", "--method", "kahan",
+                                "--h", "1e-3", "--steps", "2",
+                                "--params", "k1=2,km1=0.3,k2=0.4"])
+        assert code == 0
+        assert len(out.splitlines()) == 4
+
 
 class TestIntegrateRuntimeFailure:
     def test_partial_csv_and_exit_2(self):
@@ -458,6 +494,32 @@ class TestConfigFile:
         assert code_rat == code_dec == 0
         assert out_rat == out_dec
 
+    def test_out_of_range_integer_named(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "kahan", "h": 0.1, "steps": 2,
+                                   "x0": [10 ** 400, 1]}))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: x0: '{10 ** 400}' is beyond the float range\n"
+
+    def test_over_long_integer_rejected(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"model": "lv", "method": "kahan", "h": 0.1, "steps": 2,'
+                       ' "x0": [' + "1" * 5000 + ', 1]}')
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        # the limit on integer digits (4300 by default) is a ValueError inside json.load
+        assert err.startswith("birat: error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"lv"', "str")],
+                             ids=["list", "string"])
+    def test_config_not_an_object_rejected(self, tmp_path, text, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: config: expected a JSON object, got {kind}\n"
+
     @pytest.mark.parametrize("params", [[0.1, 0.2, 0.3], 0.5], ids=["list", "number"])
     def test_params_of_wrong_type_rejected(self, tmp_path, params):
         cfg = tmp_path / "run.json"
@@ -529,8 +591,17 @@ class TestSubprocessLogging:
     def test_warns_when_backward_h_exceeds_eps(self):
         proc = self._run({}, h="-0.1")
         assert proc.returncode == 0
-        assert proc.stderr == ("WARNING birat.cli: h=-0.1 exceeds eps=0.01;"
+        assert proc.stderr == ("WARNING birat.cli: |h|=0.1 exceeds eps=0.01;"
                                " the fast transient will be underresolved\n")
+
+    def test_forward_warning_text(self):
+        proc = self._run({})
+        assert proc.stderr == ("WARNING birat.cli: h=0.1 exceeds eps=0.01;"
+                               " the fast transient will be underresolved\n")
+
+    def test_backward_h_within_eps_is_quiet(self):
+        proc = self._run({}, h="-0.001")
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_log_level_gates_warning(self):
         proc = self._run({"BIRAT_LOG": "ERROR"})

@@ -1,4 +1,5 @@
 """Exact polynomial arithmetic and the perfect-square certificate."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -48,11 +49,46 @@ def schoolbook(op, a, b):
     return {key: c for key, c in out.items() if c != 0}
 
 
+def reference_square_root(terms):
+    """Fraction peeling on {exponents: Fraction} dicts: the root with a positive
+    leading coefficient, or None.  Each root term is the running remainder's
+    leading coefficient over twice the root's leading coefficient."""
+    if not terms:
+        return {}
+    lead_key = max(terms)
+    lead = terms[lead_key]
+    rn, rd = math.isqrt(max(lead.numerator, 0)), math.isqrt(lead.denominator)
+    if any(e % 2 for e in lead_key) or rn * rn != lead.numerator or rd * rd != lead.denominator:
+        return None
+    half_key = tuple(e // 2 for e in lead_key)
+    root = {half_key: Fraction(rn, rd)}
+    remainder = schoolbook("-", terms, schoolbook("*", root, root))
+    previous = None
+    while remainder:
+        mono = max(remainder)
+        if previous is not None and mono >= previous:
+            return None
+        previous = mono
+        exps = tuple(m - hk for m, hk in zip(mono, half_key))
+        if any(e < 0 for e in exps):
+            return None
+        term = {exps: remainder[mono] / (2 * root[half_key])}
+        twice_root_plus_term = schoolbook("+", schoolbook("+", root, root), term)
+        remainder = schoolbook("-", remainder, schoolbook("*", term, twice_root_plus_term))
+        root = schoolbook("+", root, term)
+    return root if schoolbook("*", root, root) == terms else None
+
+
 def assert_canonical(p):
     for key, coeff in p.terms.items():
         assert type(coeff) is Fraction and coeff != 0
         assert type(key) is tuple and len(key) == 3
         assert all(type(e) is int and e >= 0 for e in key)
+    # integer numerators over one positive denominator, in lowest terms
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.num.values())
+    assert math.gcd(p.den, *p.num.values()) == 1
+    assert p.num or p.den == 1
     assert MultiPoly(p.terms) == p
 
 
@@ -145,7 +181,20 @@ class TestRingKernel:
     def test_public_constructor_coerces(self):
         p = MultiPoly({(1, 0, 0): "3/2", (0, 1, 0): 2, (0, 0, 1): 0})
         assert p.terms == {(1, 0, 0): Fraction(3, 2), (0, 1, 0): Fraction(2)}
+        assert (p.num, p.den) == ({(1, 0, 0): 3, (0, 1, 0): 4}, 2)
         assert_canonical(p)
+
+    @given(wide_polys, wide_polys, wide_polys, wide_coeffs)
+    def test_results_in_lowest_terms_and_hash_agrees(self, p, q, r, scalar):
+        """Equal results reached by different routes share one form and one hash."""
+        pairs = [((p + q) + r, p + (q + r)), (p * q, q * p), (p * (q + r), p * q + p * r),
+                 (p - q, -(q - p)), (p * scalar, scalar * p), (p.negate_h().negate_h(), p),
+                 ((p + q) - q, p)]
+        for left, right in pairs:
+            assert_canonical(left)
+            assert_canonical(right)
+            assert left == right
+            assert hash(left) == hash(right)
 
 
 class TestEvaluation:
@@ -211,6 +260,12 @@ class TestPerfectSquare:
         assert perfect_square_root(Fraction(9, 4) * X ** 2 * H ** 4) \
             == Fraction(3, 2) * X * H ** 2
 
+    def test_integer_peeling(self):
+        # p = x^2 + x + 1/4 is (x + 1/2)^2; x^2 + x is not a square in Q[x, y, h]
+        assert perfect_square_root(X ** 2 + X + Fraction(1, 4)) == X + Fraction(1, 2)
+        assert perfect_square_root(X ** 2 + X) is None
+        assert perfect_square_root(Fraction(1, 12) * X ** 2) is None
+
     def test_non_squares_rejected(self):
         assert perfect_square_root(X) is None
         assert perfect_square_root(X ** 2 + Y ** 2) is None
@@ -218,3 +273,29 @@ class TestPerfectSquare:
         assert perfect_square_root(-(X ** 2)) is None
         assert perfect_square_root(2 * X ** 2) is None
         assert perfect_square_root(X ** 2 + X * Y) is None
+
+
+class TestSquareRootOracle:
+    """perfect_square_root against the Fraction peeling in ``reference_square_root``."""
+
+    @settings(max_examples=200)
+    @given(wide_polys)
+    def test_root_of_square_has_positive_leading_coefficient(self, q):
+        root = perfect_square_root(q * q)
+        assert root == (q if q.is_zero or q.leading_term()[1] > 0 else -q)
+        assert root.terms == reference_square_root((q * q).terms)
+
+    @settings(max_examples=200)
+    @given(wide_polys)
+    def test_agrees_with_reference(self, p):
+        root, expected = perfect_square_root(p), reference_square_root(p.terms)
+        assert (root is None) == (expected is None)
+        assert root is None or root.terms == expected
+
+    @settings(max_examples=200)
+    @given(wide_polys, wide_coeffs.filter(bool), wide_exponents)
+    def test_agrees_with_reference_on_perturbed_squares(self, q, c, m):
+        p = q * q + MultiPoly({m: c})
+        root, expected = perfect_square_root(p), reference_square_root(p.terms)
+        assert (root is None) == (expected is None)
+        assert root is None or root.terms == expected
