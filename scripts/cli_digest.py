@@ -18,8 +18,11 @@ a wrong `x0` dimension), and `classify --certify` on the Kahan,
 Mickens and case-VI schemes, on the all-1/4 set, which is not certified, and
 on one member of each birational case template i-vii.  Appended last, so the
 earlier lines keep their order: numbers beyond the float range in `--h`,
-`--x0` and `--params`, a backward run with |h| > eps, and `classify --certify`
-on a non-case set with unequal denominators up to 12.
+`--x0` and `--params`, a backward run with |h| > eps, `classify --certify`
+on a non-case set with unequal denominators up to 12, CSV and JSON runs of
+more than two blocks of output rows (one backward, one that stops at a map
+failure after two blocks), a partial enzyme4 `--params` set and an `--output`
+that cannot be opened.
 """
 import argparse
 import hashlib
@@ -81,6 +84,15 @@ LATER = (
      "--params", "mu=0.5,nu=1e400,eps=0.1", "--steps", "2"],
     ["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "-0.1", "--steps", "200"],
     ["classify", "5/12,1/6,1/4,1/3,1/4,7/11,1/12,1/3,1/4,1/3", "--certify"],  # non-case
+    *(["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+       "--h", "-0.01", "--steps", "9000", "--format", fmt] for fmt in ("csv", "json")),
+    # NonFiniteState at step 9000, after two full blocks of output rows
+    *(["integrate", "--model", "lv", "--method", "euler", "--h", "0.03",
+       "--steps", "20000", "--format", fmt] for fmt in ("csv", "json")),
+    ["integrate", "--model", "enzyme4", "--method", "kahan", "--h", "1e-2",
+     "--params", "k1=2,km1=0.3,k2=0.4", "--steps", "200"],
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--steps", "200",
+     "--output", "no-such-dir/traj.csv"],
 )
 
 

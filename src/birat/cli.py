@@ -12,7 +12,8 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -56,7 +57,8 @@ from .models import (
 
 log = logging.getLogger("birat.cli")
 
-FMT = "{:.17g}"
+FMT = "%.17g"
+BLOCK = 4096  # output rows formatted and written at a time
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -251,8 +253,7 @@ def _build_run_config(args) -> RunConfig:
     return cfg
 
 
-def _make_stepper(cfg: RunConfig,
-                  params) -> Callable[[np.ndarray], np.ndarray | tuple[float, float]]:
+def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequence[float]]:
     """Bind (model, method) to a one-step map; raises ConfigError on mismatch."""
     method = cfg.method
     series_order = None
@@ -265,9 +266,10 @@ def _make_stepper(cfg: RunConfig,
             raise ConfigError("method: series order must be >= 0")
         method = "kahan-series"
 
-    if method in ("kahan", "kahan-series") or (method == "euler" and cfg.model != "schnakenberg"):
-        if cfg.model == "schnakenberg":
-            raise ConfigError("method: model schnakenberg is cubic; use method"
+    quadratic = MODELS[cfg.model].field is not None
+    if method in ("kahan", "kahan-series") or (method == "euler" and quadratic):
+        if not quadratic:
+            raise ConfigError(f"method: model {cfg.model} is cubic; use method"
                               " schnakenberg or euler")
         vf = model_vector_field(cfg.model, params)
         if method == "euler":
@@ -291,47 +293,18 @@ def _make_stepper(cfg: RunConfig,
     raise ConfigError(f"method: unknown method {cfg.method!r}")
 
 
-def _row_template(fmt: str, dim: int) -> str:
-    """One output row as a format string for (t, *state): CSV or a JSON array."""
+def _row_template(fmt: str, dim: int) -> tuple[str, str]:
+    """One output row as a %-template for (t, *state), and the text between rows."""
     if fmt == "csv":
-        return ",".join([FMT] * (dim + 1))
-    return "[" + ", ".join([FMT] * (dim + 1)) + "]"
-
-
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
-
-
-def _emit_trajectory(cfg: RunConfig, names, rows, error: dict | None) -> None:
-    if cfg.format == "csv":
-        lines = ["t," + ",".join(names)]
-        lines.extend(rows)
-        _write_text(cfg.output, "\n".join(lines) + "\n")
-        if error is not None:
-            print(f"integrate: {error['type']}: {error['message']}"
-                  f" (step {error['step']})", file=sys.stderr)
-        return
-    # JSON is assembled by hand so numeric tokens match the CSV byte for byte.
-    parts = ['{"model": %s, "method": %s, "h": %s, "state_names": [%s], "rows": [' % (
-        json.dumps(cfg.model), json.dumps(cfg.method), FMT.format(cfg.h),
-        ", ".join(json.dumps(n) for n in names))]
-    parts.append(",\n".join(rows))
-    parts.append("]")
-    if error is not None:
-        parts.append(", \"error\": " + json.dumps(error, sort_keys=True))
-    parts.append("}\n")
-    _write_text(cfg.output, "".join(parts))
+        return ",".join([FMT] * (dim + 1)) + "\n", ""
+    return "[" + ", ".join([FMT] * (dim + 1)) + "]", ",\n"
 
 
 def cmd_integrate(args) -> int:
     cfg = _build_run_config(args)
     spec = MODELS[cfg.model]
     try:
-        params = spec.params(**cfg.params) if cfg.params else spec.defaults
+        params = replace(spec.defaults, **cfg.params) if cfg.params else spec.defaults
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"params: {exc}") from exc
     eps = spec.fast_scale(params) if spec.fast_scale else math.inf
@@ -346,17 +319,45 @@ def cmd_integrate(args) -> int:
                           f" {cfg.model}, got {len(x0)}")
 
     stepper = _make_stepper(cfg, params)
-    row = _row_template(cfg.format, len(names)).format
-    rows = []
-    error = None
+    row, sep = _row_template(cfg.format, len(names))
     try:
-        for values in orbit(stepper, x0, cfg.steps, names):
-            # row 0 prints 0, not the -0 that 0 * h gives for a negative h
-            rows.append(row(len(rows) * cfg.h or 0.0, *values))
-    except BiratError as exc:
-        error = {"step": len(rows), "type": type(exc).__name__, "message": str(exc)}
-        log.error("map failure at step %d: %s", len(rows), exc)
-    _emit_trajectory(cfg, names, rows, error)
+        sink = nullcontext(sys.stdout) if cfg.output in (None, "-") else open(cfg.output, "w")
+    except OSError as exc:
+        raise ConfigError(f"output: {exc}") from exc
+    flat: list[float] = []  # (t, *state) of the rows not yet written
+    rows = 0
+    error = None
+    with sink as out:
+
+        def flush(n: int) -> None:  # write the last n rows, held in flat
+            out.write((sep if rows > n else "") + sep.join([row] * n) % tuple(flat))
+            flat.clear()
+
+        if cfg.format == "csv":
+            out.write("t," + ",".join(names) + "\n")
+        else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
+            out.write('{"model": %s, "method": %s, "h": %s, "state_names": [%s], "rows": [' % (
+                json.dumps(cfg.model), json.dumps(cfg.method), FMT % cfg.h,
+                ", ".join(json.dumps(n) for n in names)))
+        try:
+            for values in orbit(stepper, x0, cfg.steps, names):
+                # row 0 prints 0, not the -0 that 0 * h gives for a negative h
+                flat.append(rows * cfg.h or 0.0)
+                flat += values
+                rows += 1
+                if rows % BLOCK == 0:
+                    flush(BLOCK)
+        except BiratError as exc:
+            error = {"step": rows, "type": type(exc).__name__, "message": str(exc)}
+            log.error("map failure at step %d: %s", rows, exc)
+        if flat:
+            flush(rows % BLOCK)
+        if cfg.format == "json":
+            tail = "" if error is None else ', "error": ' + json.dumps(error, sort_keys=True)
+            out.write("]" + tail + "}\n")
+    if error is not None and cfg.format == "csv":
+        print(f"integrate: {error['type']}: {error['message']} (step {error['step']})",
+              file=sys.stderr)
     return EXIT_RUNTIME if error is not None else EXIT_OK
 
 

@@ -66,8 +66,9 @@ class OrbitVerdict:
 def orbit(step, x0, steps: int, names=None):
     """The trajectory driver: yield x0 and its ``steps`` images under ``step``.
 
-    Each state is yielded as a list of floats; ``step`` receives the previous
-    state as a float array and may return any sequence of floats.  The first
+    Each state is yielded as a list of floats.  ``step`` first receives x0 as
+    a float array, and after that its own previous return value, as it
+    returned it: an array, a tuple or any other sequence of floats.  The first
     state with a NaN or infinite component raises NonFiniteState, naming the
     bad components by ``names`` (by index when not given), so an overflow is
     reported once and not also as numpy RuntimeWarnings: the generator holds
@@ -78,8 +79,8 @@ def orbit(step, x0, steps: int, names=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
             if k:
-                x = np.asarray(step(x), dtype=float)
-            values = x.tolist()
+                x = step(x)
+            values = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
             if not all(map(math.isfinite, values)):
                 bad = [str(i if names is None else names[i])
                        for i, v in enumerate(values) if not math.isfinite(v)]

@@ -4,6 +4,7 @@ import concurrent.futures
 import contextlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -11,11 +12,15 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
 from birat import cli
 from birat.cli import main
 from birat.errors import SingularStepMatrix
+from birat.kahan import KahanStepConfig, kahan_step_series
+from birat.lvfamily import MICKENS_SCHEME, lv_step
+from birat.models import lv_vf
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
 QUARTERS = ",".join(["1/4"] * 10)
@@ -206,6 +211,21 @@ class TestIntegrateConfigErrors:
         assert code == 0
         assert len(out.splitlines()) == 4
 
+    def test_left_out_params_come_from_the_model_table(self):
+        # the table's enzyme4 row has s0 = 1, e0 = 0.01; EnzymeParams alone says e0 = 1
+        code, out, err = run_cli(["integrate", "--model", "enzyme4", "--method", "kahan",
+                                  "--h", "1e-2", "--steps", "2",
+                                  "--params", "k1=2,km1=0.3,k2=0.4"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1] == "0,1,0.01,0,0"
+
+    def test_unopenable_output_is_config_error(self, tmp_path):
+        target = tmp_path / "missing" / "traj.csv"
+        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "kahan",
+                                  "--h", "0.1", "--steps", "2", "--output", str(target)])
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: output: [Errno 2] No such file or directory: '{target}'\n"
+
 
 class TestIntegrateRuntimeFailure:
     def test_partial_csv_and_exit_2(self):
@@ -263,6 +283,86 @@ class TestNonFiniteState:
         assert code == 2
         assert len(out.splitlines()) == 1 + 11
         assert err == "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
+
+
+def _oracle_text(fmt, method, h, states, error=None):
+    """The output of a run, one '{:.17g}' row at a time, as the CLI wrote it before streaming."""
+    rows = [[k * h or 0.0, *state] for k, state in enumerate(states)]
+    if fmt == "csv":
+        return "t,x,y\n" + "".join(",".join("{:.17g}".format(v) for v in row) + "\n"
+                                   for row in rows)
+    head = ('{"model": "lv", "method": "%s", "h": %s, "state_names": ["x", "y"], "rows": ['
+            % (method, "{:.17g}".format(h)))
+    body = ",\n".join("[" + ", ".join("{:.17g}".format(v) for v in row) + "]" for row in rows)
+    tail = "" if error is None else ', "error": ' + json.dumps(error, sort_keys=True)
+    return head + body + "]" + tail + "}\n"
+
+
+class TestStreamedOutput:
+    """Rows are written in blocks of cli.BLOCK; the bytes must not depend on where blocks end."""
+
+    H = -0.01  # a backward run, so row 0 also checks the 0-not--0 rule
+
+    def _run(self, argv, fmt, dest, tmp_path):
+        argv = [*argv, "--format", fmt]
+        if dest == "stdout":
+            return run_cli(argv)
+        target = tmp_path / f"traj.{fmt}"
+        code, out, err = run_cli(argv + ["--output", str(target)])
+        assert out == ""
+        return code, target.read_text(), err
+
+    @pytest.mark.parametrize("dest", ["stdout", "file"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("steps", [cli.BLOCK - 1, cli.BLOCK, 2 * cli.BLOCK + 1],
+                             ids=["block-1", "block", "2block+1"])
+    def test_matches_per_row_oracle(self, steps, fmt, dest, tmp_path):
+        states = [(2.0, 0.5)]
+        for _ in range(steps):
+            states.append(lv_step(MICKENS_SCHEME, *states[-1], self.H))
+        code, text, err = self._run(
+            ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+             "--h", str(self.H), "--steps", str(steps)], fmt, dest, tmp_path)
+        assert (code, err) == (0, "")
+        assert text == _oracle_text(fmt, "lv-family", self.H, states)
+
+    # lv Euler at h = 0.9 from (8, 0.01): states 0-10 are finite, step 11 overflows
+    FAILING = ["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
+               "--x0", "8,0.01", "--steps", "400"]
+
+    @staticmethod
+    def _failing_states():
+        vf, cfg = lv_vf(), KahanStepConfig(h=0.9, series_order=0)
+        states = [[8.0, 0.01]]
+        with np.errstate(over="ignore", invalid="ignore"):
+            while all(map(math.isfinite, states[-1])):
+                states.append(kahan_step_series(vf, states[-1], cfg).tolist())
+        return states[:-1]
+
+    @pytest.mark.parametrize("dest", ["stdout", "file"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("block", [4, 11, 1], ids=["mid-block", "at-boundary", "one-row"])
+    def test_failure_writes_partial_output(self, block, fmt, dest, tmp_path, monkeypatch):
+        # 11 rows: two blocks of 4 and 3 rows held; or one full block of 11 and none held
+        monkeypatch.setattr(cli, "BLOCK", block)
+        states = self._failing_states()
+        assert len(states) == 11
+        code, text, err = self._run(self.FAILING, fmt, dest, tmp_path)
+        assert code == 2
+        error = {"step": 11, "type": "NonFiniteState", "message": "non-finite value in x, y"}
+        if fmt == "csv":
+            assert err == "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
+            assert text == _oracle_text(fmt, "euler", 0.9, states)
+        else:
+            assert err == ""
+            assert text == _oracle_text(fmt, "euler", 0.9, states, error)
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1e17, 1e-5,
+        0.1, -1 / 3, 1.7976931348623157e308, 123456789012345678.0,
+    ])
+    def test_percent_format_matches_str_format(self, value):
+        assert cli.FMT % value == "{:.17g}".format(value)
 
 
 class TestClassify:

@@ -74,6 +74,27 @@ class TestOrbit:
         assert states == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
         assert all(type(v) is float for state in states for v in state)
 
+    def test_step_gets_its_own_return_value_back(self):
+        received, returned = [], []
+
+        def step(s):
+            received.append(s)
+            returned.append((s[0] + s[1], s[1]))
+            return returned[-1]
+
+        states = list(orbit(step, [0.0, 1.0], 3))
+        assert states == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
+        assert isinstance(received[0], np.ndarray) and received[0].dtype == float
+        assert len(received) == 3
+        assert all(got is sent for got, sent in zip(received[1:], returned))
+
+    def test_non_finite_tuple_component_is_named(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteState) as info:
+                list(orbit(lambda s: (s[0], s[1] * 1e300), [1.0, 1e10], 5, names=("x", "y")))
+        assert str(info.value) == "non-finite value in y"
+
     def test_overflow_names_indices_without_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
