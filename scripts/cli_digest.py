@@ -21,8 +21,9 @@ earlier lines keep their order: numbers beyond the float range in `--h`,
 `--x0` and `--params`, a backward run with |h| > eps, `classify --certify`
 on a non-case set with unequal denominators up to 12, CSV and JSON runs of
 more than two blocks of output rows (one backward, one that stops at a map
-failure after two blocks), a partial enzyme4 `--params` set and an `--output`
-that cannot be opened.
+failure after two blocks), a partial enzyme4 `--params` set, an `--output`
+that cannot be opened, explicit Euler on enzyme3 and enzyme4, and a negative
+`--tol` to `integrate --method lv-family` and to `verify roundtrip`.
 """
 import argparse
 import hashlib
@@ -93,6 +94,11 @@ LATER = (
      "--params", "k1=2,km1=0.3,k2=0.4", "--steps", "200"],
     ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--steps", "200",
      "--output", "no-such-dir/traj.csv"],
+    ["integrate", "--model", "enzyme3", "--method", "euler", "--h", "1e-3", "--steps", "20000"],
+    ["integrate", "--model", "enzyme4", "--method", "euler", "--h", "1e-2", "--steps", "20000"],
+    ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+     "--h", "0.01", "--steps", "200", "--tol", "-1"],
+    ["verify", "roundtrip", "--tol", "-1"],
 )
 
 

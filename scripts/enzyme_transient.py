@@ -43,7 +43,7 @@ def main(argv=None):
     tau = args.h * np.arange(steps + 1)
     k_peak = int(np.argmax(states[:, 1]))
     qss_peak = michaelis_menten(states[k_peak, 0], p.nu)
-    drift = conservation_drift(Trajectory.from_states(states, args.h),
+    drift = conservation_drift(Trajectory(states, args.h),
                                np.array([1.0, p.eps, 1.0]))
     k30 = min(steps, int(round(30.0 / args.h)))
 

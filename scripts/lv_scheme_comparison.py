@@ -56,7 +56,7 @@ def main(argv=None):
             for k, (x, y) in enumerate(states):
                 writer.writerow([k * args.h, x, y])
 
-        traj = Trajectory.from_states(states, args.h, name)
+        traj = Trajectory(states, args.h)
         worst_res = max(
             abs(symplectic_residual(scheme, x, y, args.h))
             for x, y in states[:: max(1, args.steps // 200)])

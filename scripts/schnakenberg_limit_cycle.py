@@ -49,7 +49,7 @@ def main(argv=None):
             writer.writerow([k * args.h, x, y])
     print(f"wrote {args.output} ({args.steps + 1} rows)")
 
-    traj = Trajectory.from_states(states, args.h, "schnakenberg")
+    traj = Trajectory(states, args.h)
     returns = [float(s[1]) for s in transversal_crossings(traj, 0, xs, increasing=True)]
     if len(returns) < 2:
         print("fewer than two section returns; lengthen the run")

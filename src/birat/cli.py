@@ -118,6 +118,14 @@ def _config_int(value, what: str) -> int:
     raise ConfigError(f"{what}: expected an integer, got {value!r}")
 
 
+def _config_tol(value) -> float:
+    """``tol`` as :func:`_config_float` reads it; it must be nonnegative."""
+    tol = _config_float(value, "tol")
+    if not tol >= 0.0:
+        raise ConfigError("tol: must be nonnegative")
+    return tol
+
+
 def _parse_state(text: str, what: str) -> list[float]:
     return [_parse_float(tok, what) for tok in text.split(",")]
 
@@ -164,11 +172,16 @@ def _build_run_config(args) -> RunConfig:
             merged[key] = val
 
     model = merged.get("model")
-    if model not in MODELS:
+    if not isinstance(model, str) or model not in MODELS:
         raise ConfigError(f"model: expected one of {sorted(MODELS)}, got {model!r}")
     method = merged.get("method")
     if method is None:
         raise ConfigError("method: required")
+    if not isinstance(method, str):
+        raise ConfigError(f"method: expected a string, got {method!r}")
+    output = merged.get("output")
+    if output is not None and not isinstance(output, str):
+        raise ConfigError(f"output: expected a file name, got {output!r}")
 
     h_raw = merged.get("h")
     if h_raw is None:
@@ -193,9 +206,9 @@ def _build_run_config(args) -> RunConfig:
         method=method,
         h=h,
         steps=steps,
-        output=merged.get("output"),
+        output=output,
         format=fmt,
-        tol=_config_float(merged.get("tol", 1e-9), "tol"),
+        tol=_config_tol(merged.get("tol", 1e-9)),
     )
 
     params_raw = merged.get("params")
@@ -267,19 +280,18 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequenc
         method = "kahan-series"
 
     quadratic = MODELS[cfg.model].field is not None
-    if method in ("kahan", "kahan-series") or (method == "euler" and quadratic):
+    if method == "euler":
+        f = (model_vector_field(cfg.model, params).evaluate if quadratic
+             else schnakenberg_vf(params))
+        return lambda state: state + cfg.h * f(state)
+
+    if method in ("kahan", "kahan-series"):
         if not quadratic:
             raise ConfigError(f"method: model {cfg.model} is cubic; use method"
                               " schnakenberg or euler")
         vf = model_vector_field(cfg.model, params)
-        if method == "euler":
-            series_order = 0
         step_cfg = KahanStepConfig(h=cfg.h, series_order=series_order)
         return lambda state: kahan_step(vf, state, step_cfg)
-
-    if method == "euler":
-        vf = schnakenberg_vf(params)
-        return lambda state: state + cfg.h * vf(state)
 
     if method == "lv-family":
         scheme = LVParams.from_list(cfg.scheme)
@@ -390,7 +402,7 @@ def _suite_conservation(seed: int, tol: float) -> list[dict]:
         cfg = KahanStepConfig(h=h)
         states = iterate_map(lambda x: kahan_step(vf, x, cfg),
                              spec.default_x0(spec.defaults), steps)
-        traj = Trajectory.from_states(states, h, model)
+        traj = Trajectory(states, h)
         for label, w in spec.invariants(spec.defaults).items():
             checks.append(_check(f"{model}-{label}-drift",
                                  conservation_drift(traj, np.array(w)), tol))
@@ -528,7 +540,7 @@ def cmd_verify(args) -> int:
         return EXIT_CONFIG
     if args.seed < 0:
         raise ConfigError(f"seed: expected a non-negative integer, got {args.seed}")
-    tol = _parse_float(args.tol, "tol")
+    tol = _config_tol(args.tol)
     workers = min(len(names), _usable_cpus())
     if workers > 1:
         # The suites share no state, so each runs whole in one worker; pool.map

@@ -4,8 +4,8 @@ trips, order, orbits.
 Everything here consumes plain arrays plus callables, so the checks apply
 uniformly to the Kahan map, the Lotka-Volterra family and the Schnakenberg
 map.  Thresholds follow the package-wide conventions (relative drift for
-linear integrals, least-squares slopes for secular trends) and are exposed
-as arguments.
+linear integrals, least-squares slopes for secular trends); the callers'
+own tolerances are arguments, and the verdict thresholds are fixed.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState, NotASteadyState
-from .kahan import STEADY_STATE_TOL, multiplier_of_eigenvalue
+from .errors import NonFiniteState
+from .kahan import multiplier_of_eigenvalue, steady_state_jacobian
 
 PERIODIC_LIKE = "PERIODIC_LIKE"
 DECAYING = "DECAYING"
@@ -26,34 +26,21 @@ INCONCLUSIVE = "INCONCLUSIVE"
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Uniformly sampled orbit: times (n,), states (n, dim)."""
+    """Orbit sampled every ``step_size`` from t = 0: states (n, dim)."""
 
-    times: np.ndarray
     states: np.ndarray
     step_size: float
-    map_id: str = ""
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
         states = np.asarray(self.states, dtype=float)
-        object.__setattr__(self, "times", times)
+        if states.ndim != 2:
+            raise ValueError("states must be (n, dim)")
         object.__setattr__(self, "states", states)
-        if times.ndim != 1 or states.ndim != 2 or len(times) != len(states):
-            raise ValueError("times must be (n,), states (n, dim)")
-        if len(times) > 1:
-            gaps = np.diff(times)
-            scale = max(abs(self.step_size), 1e-300)
-            if np.abs(gaps - self.step_size).max() > 1e-9 * scale:
-                raise ValueError("time stamps are not uniform at step_size")
 
-    @classmethod
-    def from_states(cls, states, step_size: float, map_id: str = "", t0: float = 0.0):
-        states = np.asarray(states, dtype=float)
-        times = t0 + step_size * np.arange(len(states))
-        return cls(times=times, states=states, step_size=step_size, map_id=map_id)
-
-    def __len__(self):
-        return len(self.times)
+    @property
+    def times(self) -> np.ndarray:
+        """Sample times, 0.0 + step_size * arange(n)."""
+        return 0.0 + self.step_size * np.arange(len(self.states))
 
 
 @dataclass(frozen=True)
@@ -128,11 +115,11 @@ def roundtrip_error(forward, inverse, points) -> float:
     return worst
 
 
-def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -> float:
+def convergence_order(step_family, x0, T: float, h_list) -> float:
     """Least-squares slope of log(error at time T) against log h.
 
     ``step_family(state, h)`` advances one step of size h.  The reference is
-    the same family at h_ref = min(h)/ref_refine, so the estimate needs no
+    the same family at h_ref = min(h)/64, so the estimate needs no
     exact solution.  Step sizes that end at the same time share one reference
     run, so ``step_family`` must be a pure function of its arguments.
     """
@@ -140,7 +127,7 @@ def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -
     hs = sorted(set(float(h) for h in h_list), reverse=True)
     if len(hs) < 2:
         raise ValueError("need at least two step sizes")
-    h_ref_base = hs[-1] / ref_refine
+    h_ref_base = hs[-1] / 64
     references = {}  # (t_end, m) -> reference state at t_end
     errors = []
     for h in hs:
@@ -166,17 +153,13 @@ def convergence_order(step_family, x0, T: float, h_list, ref_refine: int = 64) -
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
 
 
-def multiplier_agreement(map_jacobian, vf, xstar, h: float,
-                         steady_tol: float = STEADY_STATE_TOL) -> float:
+def multiplier_agreement(map_jacobian, vf, xstar, h: float) -> float:
     """Worst distance between map eigenvalues and (1 + h l/2)/(1 - h l/2).
 
-    ``map_jacobian`` is the Jacobian of the one-step map at the fixed point
+    ``map_jacobian`` is the Jacobian of the one-step map at the steady state
     xstar of the field vf; eigenvalues are paired greedily by distance.
     """
-    xstar = np.asarray(xstar, dtype=float)
-    f, J = vf.evaluate_and_jacobian(xstar)
-    if np.abs(f).max() > steady_tol:
-        raise NotASteadyState(f"|f(x*)| = {np.abs(f).max():.3e} exceeds {steady_tol}")
+    J = steady_state_jacobian(vf, xstar)
     predicted = [multiplier_of_eigenvalue(lam, h) for lam in np.linalg.eigvals(J)]
     observed = list(np.linalg.eigvals(np.asarray(map_jacobian, dtype=float)))
     worst = 0.0
@@ -189,41 +172,24 @@ def multiplier_agreement(map_jacobian, vf, xstar, h: float,
     return float(worst)
 
 
-def _window(values: np.ndarray, frac_lo: float, frac_hi: float) -> np.ndarray:
-    n = len(values)
-    lo = int(math.floor(frac_lo * n))
-    hi = max(lo + 1, int(math.ceil(frac_hi * n)))
-    return values[lo:min(hi, n)]
+def orbit_verdict(traj: Trajectory, monitor=None) -> OrbitVerdict:
+    """Coarse orbit classification of the first state component.
 
-
-def orbit_verdict(
-    traj: Trajectory,
-    component: int = 0,
-    early_window: tuple[float, float] = (0.0, 0.25),
-    late_window: tuple[float, float] = (0.75, 1.0),
-    monitor=None,
-    periodic_band: tuple[float, float] = (0.9, 1.1),
-    slope_tol: float = 1e-4,
-    decay_ratio: float = 0.5,
-    diverge_ratio: float = 2.0,
-    overflow: float = 1e8,
-) -> OrbitVerdict:
-    """Coarse orbit classification from windowed amplitudes and a trend.
-
-    amplitude_ratio compares (max - min) over the late and early windows; a
-    constant trajectory has ratio 1 by convention.  The secular slope is the
-    least-squares trend of ``monitor`` (a per-state functional, default: the
-    monitored component itself).  PERIODIC_LIKE demands the ratio inside
-    ``periodic_band`` and a slope within ``slope_tol``; DECAYING demands the
-    ratio below ``decay_ratio`` with quarter-window amplitudes shrinking
-    toward a constant; DIVERGING is declared on overflow, non-finite values
-    or a ratio above ``diverge_ratio``.  Everything else is INCONCLUSIVE.
+    amplitude_ratio compares (max - min) over the last and the first quarter
+    of the samples; a constant trajectory has ratio 1 by convention.  The
+    secular slope is the least-squares trend in time of ``monitor`` (a
+    per-state functional, default: the first component itself).
+    PERIODIC_LIKE demands the ratio in [0.9, 1.1] and |slope| <= 1e-4;
+    DECAYING demands the ratio below 0.5 with the amplitudes of the four
+    quarters shrinking toward a constant; DIVERGING is declared on a value
+    beyond 1e8 in magnitude, non-finite values or a ratio above 2.
+    Everything else is INCONCLUSIVE.
     """
-    series = traj.states[:, component]
+    series = traj.states[:, 0]
     finite = bool(np.isfinite(series).all())
     if finite:
-        early = _window(series, *early_window)
-        late = _window(series, *late_window)
+        n = len(series)
+        early, late = series[:math.ceil(n / 4)], series[3 * n // 4:]
         amp_early = float(early.max() - early.min())
         amp_late = float(late.max() - late.min())
         if amp_early == 0.0:
@@ -234,16 +200,15 @@ def orbit_verdict(
             mon_vals = series
         else:
             mon_vals = np.array([monitor(s) for s in traj.states], dtype=float)
-        slope = float(np.polyfit(traj.times, mon_vals, 1)[0]) if len(series) > 1 else 0.0
+        slope = float(np.polyfit(traj.times, mon_vals, 1)[0]) if n > 1 else 0.0
     else:
         ratio, slope = math.inf, math.nan
 
-    if not finite or np.abs(series[np.isfinite(series)]).max(initial=0.0) > overflow \
-            or ratio > diverge_ratio:
+    if not finite or np.abs(series[np.isfinite(series)]).max(initial=0.0) > 1e8 or ratio > 2.0:
         return OrbitVerdict(kind=DIVERGING, amplitude_ratio=ratio, secular_slope=slope)
-    if periodic_band[0] <= ratio <= periodic_band[1] and abs(slope) <= slope_tol:
+    if 0.9 <= ratio <= 1.1 and abs(slope) <= 1e-4:
         return OrbitVerdict(kind=PERIODIC_LIKE, amplitude_ratio=ratio, secular_slope=slope)
-    if ratio < decay_ratio:
+    if ratio < 0.5:
         quarters = np.array_split(series, 4)
         amps = [float(q.max() - q.min()) for q in quarters]
         shrinking = all(amps[k + 1] <= 1.05 * amps[k] + 1e-300 for k in range(3))

@@ -25,7 +25,8 @@ import numpy as np
 from .errors import NotASteadyState, PoleAtTwoOverH, SingularStepMatrix
 from .quadvf import QuadraticVectorField, _as_state
 
-STEADY_STATE_TOL = 1e-10
+STEADY_STATE_TOL = 1e-10  # max-norm of f(x*) accepted at a steady state
+SINGULAR_TOL = 1e-12  # smallest LU pivot accepted, relative to the step matrix's max-norm
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,14 @@ class KahanStepConfig:
 
     ``series_order`` switches the resolvent solve to a truncated geometric
     series of that order (0 recovers the explicit Euler step).
-    ``singular_tol`` is relative to the max-norm of the step matrix.
     """
 
     h: float
     series_order: int | None = None
-    singular_tol: float = 1e-12
 
     def __post_init__(self):
         if not np.isfinite(self.h) or self.h == 0.0:
             raise ValueError("step size h must be finite and nonzero")
-        if self.singular_tol <= 0.0:
-            raise ValueError("singular_tol must be positive")
         if self.series_order is not None and self.series_order < 0:
             raise ValueError("series_order must be nonnegative")
 
@@ -114,7 +111,7 @@ def _kahan_solve(vf: QuadraticVectorField, x, h: float, cfg: KahanStepConfig,
     f, J = vf.evaluate_and_jacobian(x)
     # a 0-d array takes numpy's array path, cheaper than its Python-scalar one
     M = _identity(vf.dim) - np.array(0.5 * h) * J
-    return x + np.array(h) * _solve_step_matrix(M, f, cfg.singular_tol, what, cfg.h)
+    return x + np.array(h) * _solve_step_matrix(M, f, SINGULAR_TOL, what, cfg.h)
 
 
 def kahan_step(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
@@ -167,19 +164,18 @@ def multiplier_of_eigenvalue(lam: complex, h: float) -> complex:
     return (1.0 + 0.5 * h * lam) / den
 
 
-def map_multipliers_at_fixed_point(
-    vf: QuadraticVectorField, xstar, h: float, steady_tol: float = STEADY_STATE_TOL,
-    singular_tol: float = 1e-12,
-) -> np.ndarray:
-    """Eigenvalues of the step Jacobian I + h (I - (h/2) f'(x*))^{-1} f'(x*).
-
-    Requires f(x*) to vanish within ``steady_tol`` in max-norm.
-    """
-    xstar = _as_state(xstar, vf.dim)
+def steady_state_jacobian(vf: QuadraticVectorField, xstar) -> np.ndarray:
+    """f'(x*), once f(x*) is checked to vanish within STEADY_STATE_TOL in max-norm."""
     f, J = vf.evaluate_and_jacobian(xstar)
     defect = np.abs(f).max()
-    if defect > steady_tol:
-        raise NotASteadyState(f"|f(x*)| = {defect:.3e} exceeds {steady_tol}")
+    if defect > STEADY_STATE_TOL:
+        raise NotASteadyState(f"|f(x*)| = {defect:.3e} exceeds {STEADY_STATE_TOL}")
+    return J
+
+
+def map_multipliers_at_fixed_point(vf: QuadraticVectorField, xstar, h: float) -> np.ndarray:
+    """Eigenvalues of the step Jacobian I + h (I - (h/2) f'(x*))^{-1} f'(x*) at a steady x*."""
+    J = steady_state_jacobian(vf, xstar)
     M = _identity(vf.dim) - (0.5 * h) * J
-    X = _solve_step_matrix(M, J, singular_tol, "fixed-point step matrix", h)
+    X = _solve_step_matrix(M, J, SINGULAR_TOL, "fixed-point step matrix", h)
     return np.linalg.eigvals(_identity(vf.dim) + h * X)

@@ -411,9 +411,10 @@ def symplectic_residual(p: LVParams, x: float, y: float, h: float,
 # -- random representatives (seeded) ------------------------------------------------------
 
 
-def _rand_fraction(rng: Random, nonzero: bool = False, span: int = 3, max_den: int = 4) -> Fraction:
+def _rand_fraction(rng: Random, nonzero: bool = False) -> Fraction:
+    """p/q with p drawn from -3..3 and q from 1..4."""
     while True:
-        q = Fraction(rng.randint(-span, span), rng.randint(1, max_den))
+        q = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
         if q != 0 or not nonzero:
             return q
 
@@ -446,9 +447,9 @@ def random_symplectic_params(label: str, rng: Random) -> LVParams:
     return _random_member(_CASE_TEMPLATES[case], ties, rng)
 
 
-def random_noncase_params(rng: Random, max_tries: int = 200) -> LVParams:
-    """A constraint-satisfying set outside every birational case template."""
-    for _ in range(max_tries):
+def random_noncase_params(rng: Random) -> LVParams:
+    """A constraint-satisfying set outside every birational case template, in 200 draws."""
+    for _ in range(200):
         b = _rand_fraction(rng, nonzero=True)
         c = _rand_fraction(rng, nonzero=True)
         d = _rand_fraction(rng, nonzero=True)

@@ -215,18 +215,15 @@ def schnakenberg_trace(p: SchnakenbergParams) -> float:
     return -1.0 + 2.0 * p.b / s - s * s
 
 
-def hopf_unstable_b(a: float, trace_target: float = 0.25, b_grid=None) -> float:
-    """Smallest grid value of b whose steady state has trace >= trace_target.
+def hopf_unstable_b(a: float) -> float:
+    """Smallest b of the grid linspace(0.05, 0.95, 181) whose steady state has trace >= 0.25.
 
-    Derived from the trace condition rather than hard-coded; the default grid
-    scans b in (0, 1).
+    Derived from the trace condition rather than hard-coded.
     """
-    if b_grid is None:
-        b_grid = np.linspace(0.05, 0.95, 181)
-    for b in b_grid:
-        if schnakenberg_trace(SchnakenbergParams(a=a, b=float(b))) >= trace_target:
+    for b in np.linspace(0.05, 0.95, 181):
+        if schnakenberg_trace(SchnakenbergParams(a=a, b=float(b))) >= 0.25:
             return float(b)
-    raise ValueError(f"no b in the grid reaches trace {trace_target} for a={a}")
+    raise ValueError(f"no b in the grid reaches trace 0.25 for a={a}")
 
 
 # -- model table -----------------------------------------------------------------

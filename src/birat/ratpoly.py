@@ -181,12 +181,6 @@ class MultiPoly:
                     Fraction(0))
         return total / self.den
 
-    def evaluate_float(self, x: float, y: float, h: float) -> float:
-        total = 0.0
-        for (ex, ey, eh), n in self.num.items():
-            total += n / self.den * x**ex * y**ey * h**eh
-        return total
-
     def negate_h(self) -> "MultiPoly":
         """Substitute h -> -h."""
         return MultiPoly._raw({key: -n if key[2] % 2 else n for key, n in self.num.items()},

@@ -88,7 +88,7 @@ def transient_run():
 
 def test_acceptance_01_linear_integral(transient_run):
     p, _, states, elapsed = transient_run
-    traj = Trajectory.from_states(states, H_TRANSIENT, "enzyme3")
+    traj = Trajectory(states, H_TRANSIENT)
     drift = conservation_drift(traj, np.array([1.0, p.eps, 1.0]))
     ok = drift < 1e-10 and elapsed < 5.0
     _report(1, "x + eps*y + z preserved over 1e5 polarized steps", ok,
@@ -269,16 +269,16 @@ def test_acceptance_09_orbit_verdicts():
     def lv_orbit(scheme, steps):
         return iterate_map(lambda s: lv_step(scheme, s[0], s[1], h), [2.0, 0.5], steps)
 
-    v_vi = orbit_verdict(Trajectory.from_states(lv_orbit(CASE_VI_SCHEME, 10_000), h),
+    v_vi = orbit_verdict(Trajectory(lv_orbit(CASE_VI_SCHEME, 10_000), h),
                          monitor=monitor)
     vi_ok = v_vi.kind == PERIODIC_LIKE and abs(v_vi.secular_slope) < 1e-4
 
     v_d0 = orbit_verdict(
-        Trajectory.from_states(lv_orbit(case_iv_blend(Fraction(0)), 20_000), h),
+        Trajectory(lv_orbit(case_iv_blend(Fraction(0)), 20_000), h),
         monitor=monitor)
 
     states_d1 = lv_orbit(case_iv_blend(Fraction(1)), 20_000)
-    v_d1 = orbit_verdict(Trajectory.from_states(states_d1, h))
+    v_d1 = orbit_verdict(Trajectory(states_d1, h))
     dist0 = math.hypot(2.0 - 1.0, 0.5 - 1.0)
     dist1 = math.hypot(states_d1[-1, 0] - 1.0, states_d1[-1, 1] - 1.0)
     d1_ok = v_d1.kind == DECAYING and dist1 < 0.5 * dist0
@@ -299,7 +299,7 @@ def test_acceptance_10_limit_cycle_returns():
     states = iterate_map(
         lambda s: np.array(schnakenberg_step(p, s[0], s[1], h)),
         [1.1 * xs, ys], 60_000)
-    traj = Trajectory.from_states(states, h, "schnakenberg")
+    traj = Trajectory(states, h)
     crossings = transversal_crossings(traj, 0, xs, increasing=True)
     returns = [float(state[1]) for state in crossings]
     elapsed = time.perf_counter() - start

@@ -20,7 +20,7 @@ from birat.cli import main
 from birat.errors import SingularStepMatrix
 from birat.kahan import KahanStepConfig, kahan_step_series
 from birat.lvfamily import MICKENS_SCHEME, lv_step
-from birat.models import lv_vf
+from birat.models import MODELS, lv_vf
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
 QUARTERS = ",".join(["1/4"] * 10)
@@ -116,6 +116,22 @@ class TestIntegrate:
                                 "kahan-series:3", "--h", "0.001", "--steps", "2"])
         assert code == 0
         assert out.splitlines()[0] == "t,s,e,c,p"
+
+    @pytest.mark.parametrize("model, h", [("enzyme3", 1e-3), ("enzyme4", 1e-2)])
+    def test_euler_matches_series_order_zero(self, model, h):
+        steps = 3000
+        code, out, _ = run_cli(["integrate", "--model", model, "--method", "euler",
+                                "--h", repr(h), "--steps", str(steps)])
+        assert code == 0
+        spec = MODELS[model]
+        vf, cfg = spec.field(spec.defaults), KahanStepConfig(h, series_order=0)
+        x = np.asarray(spec.default_x0(spec.defaults), dtype=float)
+        expected = []
+        for k in range(steps + 1):
+            if k:
+                x = kahan_step_series(vf, x, cfg)
+            expected.append(",".join("%.17g" % v for v in [k * h, *x.tolist()]))
+        assert out.splitlines()[1:] == expected
 
 
 class TestIntegrateConfigErrors:
@@ -504,6 +520,13 @@ class TestVerify:
         assert out == ""
         assert "error: tol: cannot parse 'tight' as a number" in err
 
+    def test_tol_must_be_nonnegative(self):
+        assert run_cli(["verify", "roundtrip", "--tol", "-1"]) == (
+            1, "", "birat: error: tol: must be nonnegative\n")
+        code, out, _ = run_cli(["verify", "symplectic", "--tol", "0"])
+        assert code in (0, 2)  # a report, not a configuration error
+        assert json.loads(out)["tol"] == 0.0
+
     @pytest.mark.parametrize("suite", ["roundtrip", "all"])
     def test_negative_seed_is_config_error(self, suite, monkeypatch):
         proc = subprocess.run([sys.executable, "-m", "birat.cli", "verify", suite,
@@ -629,6 +652,36 @@ class TestConfigFile:
         assert (code, out) == (1, "")
         assert err == ("birat: error: params: expected key=value text or an object,"
                        f" got {params!r}\n")
+
+    @pytest.mark.parametrize("field, value", [
+        ("model", ["lv"]), ("method", ["kahan"]), ("output", True), ("output", 1)])
+    def test_value_of_wrong_type_rejected(self, tmp_path, field, value):
+        # a bool or int output would be taken as a file descriptor: run in a child
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "kahan", "h": 0.1, "steps": 3,
+                                   field: value}))
+        proc = subprocess.run([sys.executable, "-m", "birat.cli", "integrate",
+                               "--config", str(cfg)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith(f"birat: error: {field}: ")
+        assert proc.stderr.count("\n") == 1
+        if field == "model":
+            assert proc.stderr == (f"birat: error: model: expected one of {sorted(MODELS)},"
+                                   " got ['lv']\n")
+
+    def test_tol_must_be_nonnegative(self, tmp_path):
+        argv = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+                "--h", "0.1", "--steps", "5"]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"tol": -1e-9}))
+        for extra in (["--tol", "-1"], ["--tol=-1/3"], ["--config", str(cfg)]):
+            assert run_cli(argv + extra) == (1, "", "birat: error: tol: must be nonnegative\n")
+        # KAHAN_SCHEME is exact, so it runs at tol 0
+        code, out, _ = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                "--params", "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2",
+                                "--h", "0.1", "--steps", "5", "--tol", "0"])
+        assert code == 0
+        assert len(out.splitlines()) == 7
 
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -28,25 +28,22 @@ from birat.models import lv_vf
 
 def circle_traj(n_periods=100, step=0.1):
     t = np.arange(0.0, n_periods * 2 * np.pi, step)
-    return Trajectory.from_states(np.column_stack([np.sin(t), np.cos(t)]), step)
+    return Trajectory(np.column_stack([np.sin(t), np.cos(t)]), step)
 
 
 class TestTrajectory:
-    def test_from_states(self):
-        traj = Trajectory.from_states(np.zeros((5, 2)), 0.25, "zero", t0=1.0)
-        assert traj.times == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0])
-        assert len(traj) == 5
-        assert traj.map_id == "zero"
-
-    def test_rejects_nonuniform_times(self):
-        with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.1, 0.3]), states=np.zeros((3, 1)),
-                       step_size=0.1)
+    @pytest.mark.parametrize("step", [0.25, 0.1, -0.01, 1e-3])
+    def test_times_are_exact_multiples_of_the_step(self, step):
+        traj = Trajectory(np.zeros((1001, 2)), step)
+        expected = 0.0 + step * np.arange(1001)
+        assert traj.times.tobytes() == expected.tobytes()
+        assert not np.signbit(traj.times[0])  # 0.0, not -0.0, for a negative step
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((3, 1)),
-                       step_size=0.1)
+            Trajectory(np.zeros(3), 0.1)  # 1-D states
+        with pytest.raises(ValueError):
+            Trajectory(np.zeros((3, 1, 1)), 0.1)
 
 
 class TestIterateMap:
@@ -126,33 +123,33 @@ class TestOrbit:
 class TestConservationDrift:
     def test_exact_conservation(self):
         a = np.linspace(0.0, 1.0, 50)
-        traj = Trajectory.from_states(np.column_stack([a, -a]), 0.1)
+        traj = Trajectory(np.column_stack([a, -a]), 0.1)
         assert conservation_drift(traj, np.array([1.0, 1.0])) == 0.0
 
     def test_detects_drift(self):
         states = np.column_stack([np.linspace(1.0, 2.0, 50), np.zeros(50)])
-        traj = Trajectory.from_states(states, 0.1)
+        traj = Trajectory(states, 0.1)
         # max |v - v0| = 1 against the relative scale 1 + |v0| = 2.
         assert conservation_drift(traj, np.array([1.0, 0.0])) == pytest.approx(0.5)
 
     def test_invariant_under_time_shift(self):
         states = np.random.default_rng(1).normal(size=(40, 3))
         w = np.array([1.0, -2.0, 0.5])
-        d0 = conservation_drift(Trajectory.from_states(states, 0.1), w)
-        d1 = conservation_drift(Trajectory.from_states(states, 0.7, t0=-3.0), w)
+        d0 = conservation_drift(Trajectory(states, 0.1), w)
+        d1 = conservation_drift(Trajectory(states, 0.7), w)
         assert d0 == d1
 
 
 class TestEnergyProfile:
     def test_constant_energy(self):
-        traj = Trajectory.from_states(np.ones((30, 2)), 0.1)
+        traj = Trajectory(np.ones((30, 2)), 0.1)
         osc, slope = energy_profile(traj, lambda s: s[0] + s[1])
         assert osc == 0.0
         assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_energy_slope(self):
         states = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101)])
-        traj = Trajectory.from_states(states, 0.01)
+        traj = Trajectory(states, 0.01)
         osc, slope = energy_profile(traj, lambda s: 3.0 * s[0])
         assert osc == pytest.approx(3.0)
         assert slope == pytest.approx(3.0, rel=1e-9)
@@ -160,7 +157,7 @@ class TestEnergyProfile:
     def test_polarized_lv_keeps_energy_tight(self):
         states = iterate_map(lambda s: lv_step(KAHAN_SCHEME, s[0], s[1], 0.01),
                              [2.0, 0.5], 5000)
-        traj = Trajectory.from_states(states, 0.01)
+        traj = Trajectory(states, 0.01)
         osc, slope = energy_profile(traj, lambda s: lv_hamiltonian(s[0], s[1]))
         assert osc < 1e-4
         assert abs(slope) < 1e-6
@@ -291,26 +288,26 @@ class TestOrbitVerdict:
     def test_decaying(self):
         t = np.arange(0, 20 * np.pi, 0.05)
         states = np.column_stack([np.exp(-0.1 * t) * np.sin(t), np.cos(t)])
-        verdict = orbit_verdict(Trajectory.from_states(states, 0.05))
+        verdict = orbit_verdict(Trajectory(states, 0.05))
         assert verdict.kind == DECAYING
         assert verdict.amplitude_ratio < 0.5
 
     def test_diverging_growth(self):
         t = np.arange(0, 20 * np.pi, 0.05)
         states = np.column_stack([np.exp(0.05 * t) * np.sin(t), np.cos(t)])
-        assert orbit_verdict(Trajectory.from_states(states, 0.05)).kind == DIVERGING
+        assert orbit_verdict(Trajectory(states, 0.05)).kind == DIVERGING
 
     def test_diverging_on_nonfinite(self):
         states = np.ones((40, 1))
         states[35] = np.nan
-        assert orbit_verdict(Trajectory.from_states(states, 0.1)).kind == DIVERGING
+        assert orbit_verdict(Trajectory(states, 0.1)).kind == DIVERGING
 
     def test_diverging_on_overflow(self):
         states = np.linspace(1.0, 5e8, 60).reshape(-1, 1)
-        assert orbit_verdict(Trajectory.from_states(states, 0.1)).kind == DIVERGING
+        assert orbit_verdict(Trajectory(states, 0.1)).kind == DIVERGING
 
     def test_constant_is_periodic_with_unit_ratio(self):
-        verdict = orbit_verdict(Trajectory.from_states(np.full((50, 1), 2.5), 0.1))
+        verdict = orbit_verdict(Trajectory(np.full((50, 1), 2.5), 0.1))
         assert verdict.kind == PERIODIC_LIKE
         assert verdict.amplitude_ratio == 1.0
 
@@ -326,7 +323,7 @@ class TestTransversalCrossings:
         # fall strictly inside the sampled range.
         t = np.arange(0.005, 32.0, 0.01)
         states = np.column_stack([np.sin(t), np.cos(t)])
-        traj = Trajectory.from_states(states, 0.01, t0=0.005)
+        traj = Trajectory(states, 0.01)
         ups = transversal_crossings(traj, 0, 0.0, increasing=True)
         downs = transversal_crossings(traj, 0, 0.0, increasing=False)
         assert len(ups) == 5
@@ -337,6 +334,6 @@ class TestTransversalCrossings:
 
     def test_direction_filter(self):
         states = np.array([[0.0], [1.0], [0.0], [1.0]])
-        traj = Trajectory.from_states(states, 1.0)
+        traj = Trajectory(states, 1.0)
         assert len(transversal_crossings(traj, 0, 0.5, increasing=True)) == 2
         assert len(transversal_crossings(traj, 0, 0.5, increasing=False)) == 1

@@ -70,10 +70,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             KahanStepConfig(h=0.0)
 
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            KahanStepConfig(h=0.1, singular_tol=0.0)
-
     def test_rejects_negative_series_order(self):
         with pytest.raises(ValueError):
             KahanStepConfig(h=0.1, series_order=-1)

@@ -201,7 +201,6 @@ class TestEvaluation:
     def test_hand_value(self):
         p = Fraction(3, 2) * X ** 2 * H - Y
         assert p.evaluate(2, 3, 1) == Fraction(3)
-        assert p.evaluate_float(2.0, 3.0, 1.0) == pytest.approx(3.0)
 
     def test_degree(self):
         p = X ** 2 * Y ** 3 + H
