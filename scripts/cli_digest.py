@@ -23,10 +23,14 @@ on a non-case set with unequal denominators up to 12, CSV and JSON runs of
 more than two blocks of output rows (one backward, one that stops at a map
 failure after two blocks), a partial enzyme4 `--params` set, an `--output`
 that cannot be opened, explicit Euler on enzyme3 and enzyme4, and a negative
-`--tol` to `integrate --method lv-family` and to `verify roundtrip`.
+`--tol` to `integrate --method lv-family` and to `verify roundtrip`; then a
+case-VI lv-family step just off its pole line x = 52.5, and lv-family config
+files whose `params` is a number, a boolean or an object.  A config-file run
+reads its JSON from standard input, and its line ends with `< <the JSON>`.
 """
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -99,10 +103,17 @@ LATER = (
     ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
      "--h", "0.01", "--steps", "200", "--tol", "-1"],
     ["verify", "roundtrip", "--tol", "-1"],
+    ["integrate", "--model", "lv", "--method", "lv-family",
+     "--params", "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0", "--h", "0.1", "--x0", "52.500001,0.5",
+     "--steps", "1"],
 )
+# Config files, fed on standard input; appended after LATER.
+CONFIGS = tuple({"model": "lv", "method": "lv-family", "h": 0.1, "steps": 2, "params": params}
+                for params in (1, True, 1e-300, {"a": 1}))
 
 
-def runs() -> list[list[str]]:
+def runs() -> list[tuple[list[str], str | None]]:
+    """(argv, text on standard input or None) of every run, in listing order."""
     out = [["verify", "all", "--seed", "7"], ["verify", "all", "--seed", "1"]]
     out += [["verify", suite] for suite in SUITES]
     out += [["integrate", *spec, "--steps", "20000", "--format", fmt]
@@ -119,7 +130,8 @@ def runs() -> list[list[str]]:
     out += [["integrate", *spec, "--steps", "200"] for spec in TABLE]
     out += [["classify", params, "--certify"] for params in CERTIFY]
     out += [list(run) for run in LATER]
-    return out
+    return ([(run, None) for run in out]
+            + [(["integrate", "--config", "/dev/stdin"], json.dumps(cfg)) for cfg in CONFIGS])
 
 
 def main(argv=None) -> int:
@@ -132,11 +144,13 @@ def main(argv=None) -> int:
         print(f"cli_digest: no birat sources under {src}", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONPATH=str(src))
-    for run in runs():
+    for run, stdin in runs():
         proc = subprocess.run([sys.executable, "-m", "birat.cli", *run],
-                              capture_output=True, env=env, cwd=args.root)
+                              capture_output=True, env=env, cwd=args.root,
+                              input=None if stdin is None else stdin.encode())
         print(proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
-              hashlib.sha256(proc.stderr).hexdigest(), " ".join(run), flush=True)
+              hashlib.sha256(proc.stderr).hexdigest(), " ".join(run),
+              *([] if stdin is None else ["<", stdin]), flush=True)
     return 0
 
 

@@ -1,5 +1,7 @@
-"""The trajectory driver and its diagnostics: conserved quantities, round
-trips, order, orbits.
+"""Trajectory diagnostics: conserved quantities, round trips, order, orbits.
+
+The trajectory driver :func:`orbit` lives in :mod:`birat.driver`, which loads
+no numpy; it is re-exported here, beside its array form :func:`iterate_map`.
 
 Everything here consumes plain arrays plus callables, so the checks apply
 uniformly to the Kahan map, the Lotka-Volterra family and the Schnakenberg
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteState
+from .driver import orbit
 from .kahan import multiplier_of_eigenvalue, steady_state_jacobian
 
 PERIODIC_LIKE = "PERIODIC_LIKE"
@@ -48,31 +50,6 @@ class OrbitVerdict:
     kind: str
     amplitude_ratio: float
     secular_slope: float
-
-
-def orbit(step, x0, steps: int, names=None):
-    """The trajectory driver: yield x0 and its ``steps`` images under ``step``.
-
-    Each state is yielded as a list of floats.  ``step`` first receives x0 as
-    a float array, and after that its own previous return value, as it
-    returned it: an array, a tuple or any other sequence of floats.  The first
-    state with a NaN or infinite component raises NonFiniteState, naming the
-    bad components by ``names`` (by index when not given), so an overflow is
-    reported once and not also as numpy RuntimeWarnings: the generator holds
-    ``np.errstate(over="ignore", invalid="ignore")`` until it is exhausted
-    or closed.
-    """
-    x = np.asarray(x0, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps + 1):
-            if k:
-                x = step(x)
-            values = x.tolist() if isinstance(x, np.ndarray) else [float(v) for v in x]
-            if not all(map(math.isfinite, values)):
-                bad = [str(i if names is None else names[i])
-                       for i, v in enumerate(values) if not math.isfinite(v)]
-                raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
-            yield values
 
 
 def iterate_map(step, x0, steps: int) -> np.ndarray:

@@ -105,6 +105,27 @@ class LVParams:
     def as_floats(self) -> tuple[float, ...]:
         return tuple(float(v) for v in self.to_list())
 
+    @cached_property
+    def elimination_order(self) -> str | None:
+        """The unknown :func:`lv_step` solves for first, read from the exact relations.
+
+        "yt" when eliminating xt leaves an equation in yt whose quadratic
+        coefficient p2 vanishes identically over Q[x, y, h] (tested first),
+        else "xt" when eliminating yt leaves q2 = 0 likewise.  None for a set
+        with neither, whose order lv_step tests in floats at every step.
+        """
+        c1, u1, v1, uv1, c2, u2, v2, uv2 = _symbolic_relations(self)
+        if _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0].is_zero:
+            return "yt"
+        if _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0].is_zero:
+            return "xt"
+        return None
+
+    @cached_property
+    def inverse(self) -> "LVParams":
+        """:func:`invert_params` of this set, built once."""
+        return invert_params(self)
+
 
 # -- named schemes ---------------------------------------------------------------
 
@@ -214,52 +235,57 @@ def step_residuals(p: LVParams, x, y, xt, yt, h):
     return r1, r2
 
 
-def _linear_root(p1, p0, tol):
-    if abs(p1) <= tol * (abs(p0) + 1.0):
-        raise DegenerateLinearTerm(f"linear coefficient {p1} too small, map undefined here")
-    return -p0 / p1
+def _float_order(coeffs, tol, x, y, h) -> str:
+    """lv_step's order at one step, for a set whose elimination_order is None.
 
-
-def _recover(num1, den1, num2, den2, tol):
-    if abs(den1) > tol * (abs(num1) + 1.0):
-        return -num1 / den1
-    if abs(den2) > tol * (abs(num2) + 1.0):
-        return -num2 / den2
-    raise DegenerateLinearTerm("both recovery denominators vanish")
-
-
-def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP_TOL):
-    """One step (x, y) -> (xt, yt) of the scheme p.
-
-    Tries the xt-elimination first: if the quadratic coefficient in yt is
-    negligible (relative to the other coefficients) the relation is linear
-    and yt = -p0/p1; otherwise the roles of xt and yt are exchanged.  Every
-    birational case template leaves at least one order linear.
+    An elimination counts as linear when its quadratic coefficient is
+    negligible against the other two; p2 is tested before q2.
     """
-    x, y, h = float(x), float(y), float(h)
-    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
-
-    p2, p1, p0 = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)
+    p2, p1, p0 = _eliminate(*coeffs)
     if abs(p2) <= tol * (abs(p1) + abs(p0) + 1.0):
-        yt = _linear_root(p1, p0, tol)
-        xt = _recover(c1 + v1 * yt, u1 + uv1 * yt, c2 + v2 * yt, u2 + uv2 * yt, tol)
-        return xt, yt
-
+        return "yt"
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = coeffs
     q2, q1, q0 = _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)
     if abs(q2) <= tol * (abs(q1) + abs(q0) + 1.0):
-        xt = _linear_root(q1, q0, tol)
-        yt = _recover(c1 + u1 * xt, v1 + uv1 * xt, c2 + u2 * xt, v2 + uv2 * xt, tol)
-        return xt, yt
-
+        return "xt"
     raise NotBirational(
         f"both elimination orders stay quadratic (p2={p2:.3e}, q2={q2:.3e}) "
         f"at (x, y) = ({x}, {y}), h = {h}"
     )
 
 
+def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP_TOL):
+    """One step (x, y) -> (xt, yt) of the scheme p.
+
+    Eliminating one unknown from the two relations leaves an equation that
+    is linear in the other, in the order ``p.elimination_order`` fixes
+    exactly for every birational template: the linear root comes first,
+    then the eliminated unknown from whichever relation has a denominator
+    clear of zero.
+    """
+    x, y, h = float(x), float(y), float(h)
+    coeffs = c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
+    order = p.elimination_order or _float_order(coeffs, tol, x, y, h)
+    if order == "xt":  # exchange the roles of xt and yt
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    # the linear coefficients (s1, s0) of _eliminate, in the solved unknown s
+    s1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
+    s0 = u1 * c2 - u2 * c1
+    if abs(s1) <= tol * (abs(s0) + 1.0):
+        raise DegenerateLinearTerm(f"linear coefficient {s1} too small, map undefined here")
+    s = -s0 / s1
+    num, den = c1 + v1 * s, u1 + uv1 * s
+    if not abs(den) > tol * (abs(num) + 1.0):
+        num, den = c2 + v2 * s, u2 + uv2 * s
+        if not abs(den) > tol * (abs(num) + 1.0):
+            raise DegenerateLinearTerm("both recovery denominators vanish")
+    r = -num / den
+    return (r, s) if order == "yt" else (s, r)
+
+
 def lv_inverse_step(p: LVParams, xt: float, yt: float, h: float, tol: float = DEFAULT_STEP_TOL):
     """Inverse step: the inverted parameter set run with step -h."""
-    return lv_step(invert_params(p), xt, yt, -h, tol)
+    return lv_step(p.inverse, xt, yt, -h, tol)
 
 
 # -- symbolic certification -----------------------------------------------------------
@@ -302,13 +328,16 @@ class SymbolicCertificate:
         }
 
 
-def _symbolic_quadratic(p: LVParams):
+def _symbolic_relations(p: LVParams):
+    """:func:`_relation_coeffs` of p over Q[x, y, h]."""
     x = MultiPoly.variable("x")
     y = MultiPoly.variable("y")
     h = MultiPoly.variable("h")
-    one = MultiPoly.constant(1)
-    coeffs = _relation_coeffs(tuple(p.to_list()), x, y, h, one)
-    return _eliminate(*coeffs)
+    return _relation_coeffs(tuple(p.to_list()), x, y, h, MultiPoly.constant(1))
+
+
+def _symbolic_quadratic(p: LVParams):
+    return _eliminate(*_symbolic_relations(p))
 
 
 def symbolic_certificate(p: LVParams) -> SymbolicCertificate:

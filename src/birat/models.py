@@ -8,17 +8,23 @@ with rates k1 (binding), km1 (unbinding), k2 (catalysis); e + c is conserved.
 Scaling by the initial substrate and enzyme pools gives the three-variable
 dimensionless form in (x, y, z) with parameters mu < nu and the small ratio
 eps = e0/s0.
+
+numpy and :mod:`birat.quadvf` load inside the field builders and the array
+helpers, so the model table and the closed-form Schnakenberg step do not
+load them.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, fields
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import DenominatorVanishes, PoleError
-from .quadvf import QuadraticVectorField
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .quadvf import QuadraticVectorField
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,8 @@ def enzyme_vf(p: EnzymeParams) -> QuadraticVectorField:
     s' = -k1 e s + km1 c,  e' = -k1 e s + (km1 + k2) c,
     c' =  k1 e s - (km1 + k2) c,  p' = k2 c.
     """
+    from .quadvf import QuadraticVectorField
+
     lin = [
         (0, 2, p.km1),
         (1, 2, p.km1 + p.k2),
@@ -93,6 +101,8 @@ def nondimensionalize(p: EnzymeParams):
     Returns (params, time_scale, state_scales): t = time_scale * tau and
     (s, c, p) = state_scales * (x, y, z); the enzyme level is e0 * (1 - y).
     """
+    import numpy as np
+
     mu = p.km1 / (p.k1 * p.s0)
     nu = (p.km1 + p.k2) / (p.k1 * p.s0)
     eps = p.e0 / p.s0
@@ -109,6 +119,8 @@ def enzyme_diml_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
     The row functional (1, eps, 1) annihilates the field, so x + eps y + z
     is a first integral.
     """
+    from .quadvf import QuadraticVectorField
+
     inv_eps = 1.0 / p.eps
     lin = [
         (0, 0, -1.0),
@@ -126,6 +138,8 @@ def enzyme_diml_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
 
 def enzyme_reduced_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
     """The closed (x, y) subsystem of :func:`enzyme_diml_vf`."""
+    from .quadvf import QuadraticVectorField
+
     full = enzyme_diml_vf(p)
     return QuadraticVectorField(full.c0[:2], full.lin[:2, :2], full.quad[:2, :2, :2])
 
@@ -136,6 +150,8 @@ def product_accumulate(y_values, h: float, p: DimensionlessEnzymeParams) -> np.n
     z_n = (h/2)(nu - mu) * sum_{i<n} (y_i + y_{i+1}), with z_0 = 0; returns an
     array aligned with ``y_values``.
     """
+    import numpy as np
+
     y = np.asarray(y_values, dtype=float)
     if y.ndim != 1:
         raise ValueError("y_values must be one-dimensional")
@@ -158,6 +174,8 @@ def michaelis_menten(x: float, nu: float) -> float:
 
 def lv_vf() -> QuadraticVectorField:
     """Normalized predator-prey field x' = x(1 - y), y' = y(x - 1)."""
+    from .quadvf import QuadraticVectorField
+
     lin = [(0, 0, 1.0), (1, 1, -1.0)]
     quad = [(0, 0, 1, -1.0), (1, 0, 1, 1.0)]
     return QuadraticVectorField.from_triplets(2, lin_triplets=lin, quad_triplets=quad)
@@ -168,6 +186,7 @@ def lv_vf() -> QuadraticVectorField:
 
 def schnakenberg_vf(p: SchnakenbergParams):
     """Right-hand side (a - x + x^2 y, b - x^2 y); cubic, so a plain callable."""
+    import numpy as np
 
     def f(state):
         x, y = state
@@ -220,6 +239,8 @@ def hopf_unstable_b(a: float) -> float:
 
     Derived from the trace condition rather than hard-coded.
     """
+    import numpy as np
+
     for b in np.linspace(0.05, 0.95, 181):
         if schnakenberg_trace(SchnakenbergParams(a=a, b=float(b))) >= 0.25:
             return float(b)

@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
-from birat import cli
+from birat import cli, verify
 from birat.cli import main
 from birat.errors import SingularStepMatrix
 from birat.kahan import KahanStepConfig, kahan_step_series
@@ -132,6 +132,18 @@ class TestIntegrate:
                 x = kahan_step_series(vf, x, cfg)
             expected.append(",".join("%.17g" % v for v in [k * h, *x.tolist()]))
         assert out.splitlines()[1:] == expected
+
+
+class TestLVFamilyPoleLine:
+    def test_case_vi_near_its_pole_line_takes_the_linear_elimination(self):
+        # CASE_VI_SCHEME's p2 vanishes on x = 52.5 at h = 0.1; the step must
+        # be the exact one through the xt-elimination (test_lvfamily bounds
+        # it), not the spurious root 823857423.75352192,-6.3333330217907404
+        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                  "--params", "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0",
+                                  "--h", "0.1", "--x0", "52.500001,0.5", "--steps", "1"])
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "0.10000000000000001,17.49999833980571,-128750001.46138006"
 
 
 class TestIntegrateConfigErrors:
@@ -439,6 +451,9 @@ class TestVerify:
         assert 1.8 <= by_name["kahan-order"] <= 2.2
         assert 0.8 <= by_name["euler-order"] <= 1.2
 
+    def test_parser_names_the_suites(self):
+        assert cli.SUITE_NAMES == tuple(verify.SUITES)
+
     def test_unknown_suite(self):
         code, _, err = run_cli(["verify", "cohomology"])
         assert code == 1
@@ -446,7 +461,7 @@ class TestVerify:
 
     def test_all_matches_in_process_run(self):
         code, out, _ = run_cli(["verify", "all", "--seed", "7"])
-        checks = [c for name in cli.SUITES for c in cli.SUITES[name](7, 1e-9)]
+        checks = [c for name in verify.SUITES for c in verify.SUITES[name](7, 1e-9)]
         expected = json.dumps({"suite": "all", "seed": 7, "tol": 1e-9, "checks": checks,
                                "passed": all(c["passed"] for c in checks)}, indent=2)
         assert code == 0
@@ -458,7 +473,7 @@ class TestVerify:
         def boom(seed, tol):
             raise SingularStepMatrix("boom")
 
-        monkeypatch.setitem(cli.SUITES, "roundtrip", boom)
+        monkeypatch.setitem(verify.SUITES, "roundtrip", boom)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the pool path, even on one CPU
         code, out, err = run_cli(["verify", "all"])
         assert code == 2
@@ -477,7 +492,7 @@ class TestVerify:
 
     @fork_only
     def test_suites_come_back_in_order_from_workers(self, monkeypatch):
-        monkeypatch.setattr(cli, "SUITES", self._pid_suites(["c", "a", "b"], 0.2))
+        monkeypatch.setattr(verify, "SUITES", self._pid_suites(["c", "a", "b"], 0.2))
         code, out, _ = run_cli(["verify", "all"])
         assert code == 0
         checks = json.loads(out)["checks"]
@@ -504,7 +519,7 @@ class TestVerify:
     def test_one_usable_cpu_runs_in_process(self, monkeypatch):
         self._forbid_pool(monkeypatch)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(cli, "SUITES", self._pid_suites(["a", "b"], 0))
+        monkeypatch.setattr(verify, "SUITES", self._pid_suites(["a", "b"], 0))
         code, out, _ = run_cli(["verify", "all"])
         assert code == 0
         assert [c["value"] for c in json.loads(out)["checks"]] == [os.getpid()] * 2
@@ -653,6 +668,17 @@ class TestConfigFile:
         assert err == ("birat: error: params: expected key=value text or an object,"
                        f" got {params!r}\n")
 
+    @pytest.mark.parametrize("params", [1, True, 1e-300, {"a": 1}],
+                             ids=["int", "bool", "float", "object"])
+    def test_lv_family_params_of_wrong_type_rejected(self, tmp_path, params):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "lv-family",
+                                   "h": 0.1, "steps": 2, "params": params}))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        assert (code, out) == (1, "")
+        assert err == ("birat: error: params: expected 10 comma-separated rationals"
+                       f" or a list, got {params!r}\n")
+
     @pytest.mark.parametrize("field, value", [
         ("model", ["lv"]), ("method", ["kahan"]), ("output", True), ("output", 1)])
     def test_value_of_wrong_type_rejected(self, tmp_path, field, value):
@@ -694,18 +720,21 @@ class TestConfigFile:
 
 class TestScipyNotLoaded:
     """scipy loads at the first step-matrix solve, not at ``import birat``, and
-    the solve loads LAPACK without ``scipy.linalg``."""
+    the solve loads LAPACK without ``scipy.linalg``.  numpy loads only on the
+    paths that work on arrays: not for ``import birat``, ``integrate --method
+    lv-family`` or ``classify``."""
 
     @staticmethod
-    def _scipy_modules(argv):
-        """(exit code, scipy modules loaded) after ``main(argv)`` in a fresh interpreter."""
+    def _loaded_modules(argv, package="scipy"):
+        """(exit code, modules of ``package`` loaded) after ``main(argv)`` in a fresh
+        interpreter."""
         code = ("import contextlib, io, sys\n"
                 "import birat\n"
                 "from birat.cli import main\n"
                 f"argv = {argv!r}\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    rc = main(argv) if argv else 0\n"
-                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                f"print(rc, sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         rc, modules = proc.stdout.split(" ", 1)
@@ -718,10 +747,30 @@ class TestScipyNotLoaded:
          "--h", "0.1", "--steps", "5"],
     ], ids=["import", "classify-certify", "integrate-lv-family"])
     def test_scipy_absent(self, argv):
-        assert self._scipy_modules(argv) == (0, [])
+        assert self._loaded_modules(argv) == (0, [])
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["classify", MICKENS, "--certify"],
+        ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+         "--h", "0.1", "--steps", "5"],
+        ["integrate", "--model", "schnakenberg", "--method", "schnakenberg", "--h", "0.1",
+         "--steps", "5"],
+    ], ids=["import", "classify-certify", "integrate-lv-family", "integrate-schnakenberg"])
+    def test_numpy_absent(self, argv):
+        assert self._loaded_modules(argv, "numpy") == (0, [])
+
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--model", "lv", "--method", "euler", "--h", "0.1", "--steps", "5"],
+        ["verify", "symplectic"],
+    ], ids=["integrate-euler", "verify"])
+    def test_numpy_loaded_where_floats_are_arrays(self, argv):
+        rc, modules = self._loaded_modules(argv, "numpy")
+        assert rc == 0
+        assert "numpy" in modules
 
     def test_kahan_integrate_leaves_scipy_linalg_out(self):
-        rc, modules = self._scipy_modules(["integrate", "--model", "enzyme3", "--method",
+        rc, modules = self._loaded_modules(["integrate", "--model", "enzyme3", "--method",
                                            "kahan", "--h", "1e-3", "--steps", "5"])
         assert rc == 0
         assert "scipy" in modules

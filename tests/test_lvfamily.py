@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birat.errors import ConstraintViolation, DegenerateLinearTerm, DomainError, NotBirational
+from birat.errors import (
+    BiratError,
+    ConstraintViolation,
+    DegenerateLinearTerm,
+    DomainError,
+    NotBirational,
+)
 from birat.geomcheck import iterate_map
 from birat.kahan import KahanStepConfig, kahan_step
 from birat.lvfamily import (
@@ -24,8 +30,6 @@ from birat.lvfamily import (
     ClassificationReport,
     LVParams,
     _eliminate,
-    _linear_root,
-    _recover,
     _relation_coeffs,
     case_iv_blend,
     check_sympcon,
@@ -194,12 +198,20 @@ class TestStep:
         assert out[0] == pytest.approx([2.0, 0.5])
 
     def test_recover_tolerance_is_relative(self):
-        # 2e-9 clears tol = 1e-9 absolutely, but against a numerator of 1e6
-        # it is rounding noise: the quotient -5e14 must not be returned.
-        assert _recover(1e6, 2e-9, -3.0, 1.0, 1e-9) == 3.0
-        assert _recover(3.0, 2.0, 0.0, 0.0, 1e-9) == -1.5
-        with pytest.raises(DegenerateLinearTerm):
-            _recover(1e6, 2e-9, 1e6, 2e-9, 1e-9)
+        # Near u1 = 0, relation 1's recovery denominator is 1.5e-9: it clears
+        # tol = 1e-9 absolutely, but against a numerator of 1.05 it is
+        # rounding noise, and its quotient is off by 1.9e-8.  xt must come
+        # from relation 2, and when that one is noise too the step refuses.
+        x, y, h = 4.2e8, -2.999999994, 0.5
+        c1, u1, v1, uv1, *_ = _relation_coeffs(KAHAN_SCHEME.as_floats, x, y, h, 1.0)
+        xt, yt = lv_step(KAHAN_SCHEME, x, y, h)
+        num1, den1 = c1 + v1 * yt, u1 + uv1 * yt
+        assert DEFAULT_STEP_TOL < abs(den1) <= DEFAULT_STEP_TOL * (abs(num1) + 1.0)
+        exact_xt = _exact_step(KAHAN_SCHEME, Fraction(x), Fraction(y), Fraction(h))[0]
+        assert abs(Fraction(xt) - exact_xt) <= 1e-15 * abs(exact_xt)
+        assert abs(Fraction(-num1 / den1) - exact_xt) > 1e-9 * abs(exact_xt)
+        with pytest.raises(DegenerateLinearTerm, match="both recovery denominators vanish"):
+            lv_step(KAHAN_SCHEME, 1e15, -2.999999992, 0.5)
 
 
 class TestCertificates:
@@ -531,21 +543,29 @@ class _Bounded:
 def _bounded_lv_step(p, x, y, h, tol=DEFAULT_STEP_TOL):
     """lv_step's operations on _Bounded values, from the float inputs x, y, h.
 
-    Each parameter enters with its exact rounding error as a float.  The branch
-    tests see exact values; at points away from the degenerate ones they agree
-    with the float tests.
+    Each parameter enters with its exact rounding error as a float, and the
+    elimination follows p.elimination_order, as lv_step's does.  The tests of
+    the linear coefficient and of the recovery denominator see exact values;
+    at points away from the degenerate ones they agree with the float tests.
     """
     vals = [_Bounded(q, abs(Fraction(float(q)) - q)) for q in p.to_list()]
     c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(
         vals, _Bounded(x), _Bounded(y), _Bounded(h), _Bounded(1))
-    p2, p1, p0 = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)
-    if abs(p2) <= tol * (abs(p1) + abs(p0) + 1.0):
-        yt = _linear_root(p1, p0, tol)
-        return _recover(c1 + v1 * yt, u1 + uv1 * yt, c2 + v2 * yt, u2 + uv2 * yt, tol), yt
-    q2, q1, q0 = _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)
-    assert abs(q2) <= tol * (abs(q1) + abs(q0) + 1.0)
-    xt = _linear_root(q1, q0, tol)
-    return xt, _recover(c1 + u1 * xt, v1 + uv1 * xt, c2 + u2 * xt, v2 + uv2 * xt, tol)
+    order = p.elimination_order
+    assert order in ("xt", "yt")
+    if order == "xt":
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    _, s1, s0 = _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)
+    if abs(s1) <= tol * (abs(s0) + 1.0):
+        raise DegenerateLinearTerm("linear coefficient too small")
+    s = -s0 / s1
+    num, den = c1 + v1 * s, u1 + uv1 * s
+    if not abs(den) > tol * (abs(num) + 1.0):
+        num, den = c2 + v2 * s, u2 + uv2 * s
+        if not abs(den) > tol * (abs(num) + 1.0):
+            raise DegenerateLinearTerm("both recovery denominators vanish")
+    r = -num / den
+    return (r, s) if order == "yt" else (s, r)
 
 
 class TestFloatStepAgainstExact:
@@ -565,6 +585,103 @@ class TestFloatStepAgainstExact:
             for got, b in zip(lv_step(p, x, y, h), bounded):
                 assert abs(Fraction(got) - b.v) <= b.e, (x, y, h)
                 assert b.e <= 1e-10 * abs(b.v)  # the bound itself is informative
+
+
+def _curve_root(p, h, order):
+    """Where the elimination that p's order skips has a vanishing quadratic term.
+
+    For the xt order: the x with p2 = 0 (p2 is affine in x).  For the yt
+    order: the y with q2 = 0 (affine in y).  None when the term does not
+    depend on that variable.
+    """
+    one = Fraction(1)
+
+    def coeff(t):
+        x, y = (t, one) if order == "xt" else (one, t)
+        c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.to_list(), x, y, h, one)
+        if order == "xt":
+            return _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0]
+        return _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0]
+
+    slope = coeff(one) - coeff(0)
+    return None if slope == 0 else -coeff(0) / slope
+
+
+class TestEliminationOrder:
+    """LVParams.elimination_order comes from the exact quadratics, once per set,
+    and lv_step follows it where a float test of p2 picked the wrong root."""
+
+    def test_named_schemes(self):
+        assert KAHAN_SCHEME.elimination_order == "yt"
+        assert MICKENS_SCHEME.elimination_order == "yt"
+        assert CASE_VI_SCHEME.elimination_order == "xt"
+        assert QUARTERS.elimination_order is None
+
+    def test_every_template_member_gets_an_order(self):
+        rng = random.Random(2021)
+        for label in CASE_LABELS:
+            for _ in range(20):
+                p = random_case_params(label, rng)
+                cert = symbolic_certificate(p)
+                assert cert.verdict == BIRATIONAL
+                assert p.elimination_order == ("yt" if cert.p2.is_zero else "xt"), label
+                if p.elimination_order == "xt":
+                    assert cert.forward_root is not None
+                # the inverse scheme's p2 is the backward quadratic's, h negated
+                assert p.inverse.elimination_order == (
+                    "yt" if cert.backward_p2.is_zero else "xt"), label
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8)
+           .map(constrained_params))
+    def test_certified_sets_are_template_members_with_an_order(self, p):
+        # the certificate agrees with the template table, and no certified
+        # set has both p2 and q2 nonzero, in either direction.  (A set outside
+        # every template may still have p2 = 0: its forward step is linear,
+        # its inverse is not.)
+        certified = symbolic_certificate(p).verdict == BIRATIONAL
+        assert certified == bool(classify_birational(p))
+        if certified:
+            assert p.elimination_order is not None
+            assert p.inverse.elimination_order is not None
+
+    def test_pole_line_of_case_vi(self):
+        # p2 = -3/10 x h^2 + 3/4 h^2 + 3/2 h vanishes on x = 52.5 at h = 0.1; a
+        # float test of p2 there dropped it and returned the spurious root
+        # (823857423.75352192, -6.3333330217907404)
+        x, y, h = 52.500001, 0.5, 0.1
+        assert _curve_root(CASE_VI_SCHEME, Fraction(1, 10), "xt") == Fraction(105, 2)
+        got = lv_step(CASE_VI_SCHEME, x, y, h)
+        bounded = _bounded_lv_step(CASE_VI_SCHEME, x, y, h)
+        assert tuple(b.v for b in bounded) == _exact_step(
+            CASE_VI_SCHEME, Fraction(x), Fraction(y), Fraction(h))
+        for g, b in zip(got, bounded):
+            assert abs(Fraction(g) - b.v) <= b.e
+        assert got == (17.49999833980571, -128750001.46138006)
+
+    @settings(max_examples=150, deadline=None)
+    @given(label=st.sampled_from(CASE_LABELS), seed=st.integers(0, 2**32 - 1),
+           h=st.sampled_from([0.01, 0.1, 0.3, -0.1, -0.37]),
+           offset=st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-7, 1e-5, 1e-3]),
+           sign=st.sampled_from([1, -1]), free=st.floats(0.2, 3.0))
+    def test_near_the_quadratic_curve(self, label, seed, h, offset, sign, free):
+        # x near the line p2 = 0 (xt order) or y near q2 = 0 (yt order): the
+        # step is the exact step to within its derived rounding bound, or a
+        # typed error; never a silent wrong root
+        p = random_case_params(label, random.Random(seed))
+        order = p.elimination_order
+        root = _curve_root(p, Fraction(h), order)
+        near = 1.0 + sign * offset if root is None else float(root * (1 + sign * Fraction(offset)))
+        x, y = (near, free) if order == "xt" else (free, near)
+        try:
+            got = lv_step(p, x, y, h)
+        except BiratError:
+            return
+        bounded = _bounded_lv_step(p, x, y, h)
+        exact = tuple(b.v for b in bounded)
+        assert _exact_relations(p, Fraction(h))(Fraction(x), Fraction(y), *exact) == (0, 0)
+        for g, b in zip(got, bounded):
+            assert abs(Fraction(g) - b.v) <= b.e, (x, y, h)
 
 
 def _exact_residual(p, x, y, h):
