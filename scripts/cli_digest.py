@@ -25,8 +25,11 @@ failure after two blocks), a partial enzyme4 `--params` set, an `--output`
 that cannot be opened, explicit Euler on enzyme3 and enzyme4, and a negative
 `--tol` to `integrate --method lv-family` and to `verify roundtrip`; then a
 case-VI lv-family step just off its pole line x = 52.5, and lv-family config
-files whose `params` is a number, a boolean or an object.  A config-file run
-reads its JSON from standard input, and its line ends with `< <the JSON>`.
+files whose `params` is a number, a boolean or an object; then decimal
+exponents beyond the CLI's bound in `--h`, `--x0`, `--tol`, enzyme3 and
+lv-family `--params`, `classify` and a config-file string, and a tiny
+`1e-400` in `--x0`, which still parses to 0.  A config-file run reads its
+JSON from standard input, and its line ends with `< <the JSON>`.
 """
 import argparse
 import hashlib
@@ -110,6 +113,24 @@ LATER = (
 # Config files, fed on standard input; appended after LATER.
 CONFIGS = tuple({"model": "lv", "method": "lv-family", "h": 0.1, "steps": 2, "params": params}
                 for params in (1, True, 1e-300, {"a": 1}))
+# Decimal exponents beyond the bound, rejected before Fraction builds the value;
+# appended after CONFIGS, the config-file run last.
+HUGE = "1e3000000"
+EXPONENTS = (
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", HUGE, "--steps", "2"],
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--x0", f"{HUGE},1",
+     "--steps", "2"],
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--tol", "1e-3000000",
+     "--steps", "2"],
+    ["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "1e-3",
+     "--params", f"mu=0.5,nu={HUGE},eps=0.1", "--steps", "2"],
+    ["integrate", "--model", "lv", "--method", "lv-family",
+     "--params", f"{HUGE},1,0,0,0,1/2,0,0,1/2,1/2", "--h", "0.1", "--steps", "2"],
+    ["classify", f"{HUGE},1,0,0,0,1/2,0,0,1/2,1/2"],
+    ["integrate", "--model", "lv", "--method", "kahan", "--h", "0.01", "--x0", "1e-400,1",
+     "--steps", "2"],
+)
+EXPONENT_CONFIG = {"model": "lv", "method": "kahan", "h": "1e-3000000", "steps": 2}
 
 
 def runs() -> list[tuple[list[str], str | None]]:
@@ -130,8 +151,11 @@ def runs() -> list[tuple[list[str], str | None]]:
     out += [["integrate", *spec, "--steps", "200"] for spec in TABLE]
     out += [["classify", params, "--certify"] for params in CERTIFY]
     out += [list(run) for run in LATER]
+    from_stdin = ["integrate", "--config", "/dev/stdin"]
     return ([(run, None) for run in out]
-            + [(["integrate", "--config", "/dev/stdin"], json.dumps(cfg)) for cfg in CONFIGS])
+            + [(from_stdin, json.dumps(cfg)) for cfg in CONFIGS]
+            + [(list(run), None) for run in EXPONENTS]
+            + [(from_stdin, json.dumps(EXPONENT_CONFIG))])
 
 
 def main(argv=None) -> int:

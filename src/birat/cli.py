@@ -48,9 +48,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
+# Fraction("1e3000000") builds 10**3000000, which takes seconds; CPython already
+# caps the digit count, so the decimal exponent is the one unbounded part.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or decimal text into an exact Fraction."""
-    return Fraction(text.strip())
+    """Parse "p/q", integer, or decimal text into an exact Fraction.
+
+    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size is a ValueError.
+    """
+    text = text.strip()
+    _, e, exponent = text.lower().rpartition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # not an exponent; Fraction reports the text
+            too_large = False
+        if too_large:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    return Fraction(text)
 
 
 def _parse_float(text: str, what: str) -> float:

@@ -32,7 +32,7 @@ from .errors import (
     NotBirational,
     SingularImplicitSystem,
 )
-from .ratpoly import MultiPoly, _as_fraction, perfect_square_root
+from .ratpoly import MultiPoly, _as_fraction, perfect_square_root, sum_of_products
 
 # Birational templates by the four weights they set to zero.  The paper's
 # other conditions (d + e = 1 in i, d = 1 in ii, E = 1 in iv, ...) follow
@@ -115,9 +115,9 @@ class LVParams:
         with neither, whose order lv_step tests in floats at every step.
         """
         c1, u1, v1, uv1, c2, u2, v2, uv2 = _symbolic_relations(self)
-        if _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0].is_zero:
+        if _exact_eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0].is_zero:
             return "yt"
-        if _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0].is_zero:
+        if _exact_eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0].is_zero:
             return "xt"
         return None
 
@@ -199,9 +199,12 @@ def invert_params(p: LVParams) -> LVParams:
 def _relation_coeffs(vals, x, y, h, one):
     """Coefficients of the two step relations in the basis {1, xt, yt, xt*yt}.
 
-    Works elementwise over floats or MultiPoly; returns
-    (c1, u1, v1, uv1, c2, u2, v2, uv2) for h-scaled residuals E1, E2 that
-    vanish on step pairs.
+    Returns (c1, u1, v1, uv1, c2, u2, v2, uv2) for h-scaled residuals E1, E2
+    that vanish on step pairs.  This is the float body of lv_step,
+    _float_order and step_residuals, whose operation order fixes their output
+    bits; the tests also run it over Fraction and MultiPoly as an oracle.
+    The exact certificate builds the same coefficients term by term in
+    :func:`_symbolic_relations`.
     """
     a, b, c, d, e, A, B, C, D, E = vals
     e1c = h * b * x * y - x - h * a * x
@@ -328,16 +331,41 @@ class SymbolicCertificate:
         }
 
 
-def _symbolic_relations(p: LVParams):
-    """:func:`_relation_coeffs` of p over Q[x, y, h]."""
-    x = MultiPoly.variable("x")
-    y = MultiPoly.variable("y")
-    h = MultiPoly.variable("h")
-    return _relation_coeffs(tuple(p.to_list()), x, y, h, MultiPoly.constant(1))
+def _symbolic_relations(p: LVParams, inverse: bool = False):
+    """:func:`_relation_coeffs` of p over Q[x, y, h], built from their terms.
+
+    ``inverse=True`` gives those of ``invert_params(p)`` by the same swap.
+    Every coefficient is an integer over the lcm ``L`` of the parameters'
+    denominators (so 1 is ``L``); terms are keyed by exponents (x, y, h).
+    """
+    vals = p.to_list()
+    L = math.lcm(*(v.denominator for v in vals))
+    a, b, c, d, e, A, B, C, D, E = (v.numerator * (L // v.denominator) for v in vals)
+    if inverse:
+        a, b, c, d, e, A, B, C, D, E = L - a, c, b, e, d, L - A, C, B, E, D
+    raw = MultiPoly._raw
+    return (
+        raw({(1, 1, 1): b, (1, 0, 0): -L, (1, 0, 1): -a}, L),  # c1 = b h x y - x - a h x
+        raw({(0, 0, 0): L, (0, 0, 1): a - L, (0, 1, 1): e}, L),  # u1 = 1 - (1-a) h + e h y
+        raw({(1, 0, 1): d}, L),  # v1 = d h x
+        raw({(0, 0, 1): c}, L),  # uv1 = c h
+        raw({(0, 1, 1): A, (0, 1, 0): -L, (1, 1, 1): -B}, L),  # c2 = A h y - y - B h x y
+        raw({(0, 1, 1): -E}, L),  # u2 = -E h y
+        raw({(0, 0, 0): L, (0, 0, 1): L - A, (1, 0, 1): -D}, L),  # v2 = 1 + (1-A) h - D h x
+        raw({(0, 0, 1): -C}, L),  # uv2 = -C h
+    )
 
 
-def _symbolic_quadratic(p: LVParams):
-    return _eliminate(*_symbolic_relations(p))
+def _exact_eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2):
+    """:func:`_eliminate` over MultiPoly, one product kernel call per coefficient."""
+    p2 = sum_of_products(((1, uv1, v2), (-1, uv2, v1)))
+    p1 = sum_of_products(((1, u1, v2), (1, uv1, c2), (-1, u2, v1), (-1, uv2, c1)))
+    p0 = sum_of_products(((1, u1, c2), (-1, u2, c1)))
+    return p2, p1, p0
+
+
+def _discriminant(p2, p1, p0) -> MultiPoly:
+    return sum_of_products(((1, p1, p1), (-4, p2, p0)))
 
 
 def symbolic_certificate(p: LVParams) -> SymbolicCertificate:
@@ -350,11 +378,11 @@ def symbolic_certificate(p: LVParams) -> SymbolicCertificate:
     its leading coefficient vanishes identically or its discriminant is a
     polynomial square.
     """
-    forward = _symbolic_quadratic(p)
-    backward = tuple(q.negate_h() for q in _symbolic_quadratic(invert_params(p)))
+    forward = _exact_eliminate(*_symbolic_relations(p))
+    backward = tuple(q.negate_h() for q in _exact_eliminate(*_symbolic_relations(p, True)))
 
-    disc_f = forward[1] * forward[1] - 4 * forward[0] * forward[2]
-    disc_b = backward[1] * backward[1] - 4 * backward[0] * backward[2]
+    disc_f = _discriminant(*forward)
+    disc_b = _discriminant(*backward)
     root_f = perfect_square_root(disc_f)
     root_b = perfect_square_root(disc_b)
     forward_ok = forward[0].is_zero or root_f is not None

@@ -122,13 +122,7 @@ class MultiPoly:
             scalar = _as_fraction(other)
             return MultiPoly._raw({key: n * scalar.numerator for key, n in self.num.items()},
                                   self.den * scalar.denominator)
-        acc: dict[tuple[int, int, int], int] = {}
-        b_terms = other.num.items()
-        for (ax, ay, ah), an in self.num.items():
-            for (bx, by, bh), bn in b_terms:
-                key = (ax + bx, ay + by, ah + bh)
-                acc[key] = acc.get(key, 0) + an * bn
-        return MultiPoly._raw(acc, self.den * other.den)
+        return sum_of_products(((1, self, other),))
 
     __rmul__ = __mul__
 
@@ -152,6 +146,8 @@ class MultiPoly:
         return self.den == other.den and self.num == other.num
 
     def __hash__(self):
+        if not self.num.keys() - {(0, 0, 0)}:  # a constant hashes like the Fraction it equals
+            return hash(Fraction(self.num.get((0, 0, 0), 0), self.den))
         return hash((self.den, frozenset(self.num.items())))
 
     # -- queries -----------------------------------------------------------
@@ -214,6 +210,38 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self.render()})"
+
+
+def sum_of_products(products) -> MultiPoly:
+    """``Σ k·a·b`` over ``(k, a, b)`` triples: integer ``k``, MultiPoly ``a`` and ``b``.
+
+    Every product is accumulated into one dict of integer numerators over the
+    lcm of the products' denominators and normalised once at the end.  A square
+    (``a is b``) takes each unordered pair of its terms once.
+    """
+    products = [(k, a, b) for k, a, b in products if k and a.num and b.num]
+    den = math.lcm(*(a.den * b.den for _, a, b in products))
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for k, a, b in products:
+        scale = k * (den // (a.den * b.den))
+        if a is b:
+            terms = list(a.num.items())
+            for i, ((ax, ay, ah), an) in enumerate(terms):
+                key = (2 * ax, 2 * ay, 2 * ah)
+                acc[key] = get(key, 0) + scale * an * an
+                twice = 2 * scale * an
+                for (bx, by, bh), bn in terms[i + 1:]:
+                    key = (ax + bx, ay + by, ah + bh)
+                    acc[key] = get(key, 0) + twice * bn
+        else:
+            b_terms = b.num.items()
+            for (ax, ay, ah), an in a.num.items():
+                an *= scale
+                for (bx, by, bh), bn in b_terms:
+                    key = (ax + bx, ay + by, ah + bh)
+                    acc[key] = get(key, 0) + an * bn
+    return MultiPoly._raw(acc, den)
 
 
 def parse_poly(text: str) -> MultiPoly:
@@ -311,4 +339,5 @@ def perfect_square_root(p: MultiPoly) -> MultiPoly | None:
         root[exps] = quotient
 
     root = MultiPoly._raw(root, p.den)
-    return root if root * root == p else None  # exact verification of the reconstruction
+    # exact verification of the reconstruction
+    return root if sum_of_products(((1, root, root),)) == p else None

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,23 @@ def run_cli(argv):
         except SystemExit as exc:  # argparse-level rejections
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+class TestParseRational:
+    def test_exponent_bound(self):
+        bound = cli.MAX_DECIMAL_EXPONENT
+        assert cli.parse_rational(f" 1e{bound} ") == 10 ** bound
+        assert cli.parse_rational(f"-2.5E-{bound}") == Fraction(-25, 10 ** (bound + 1))
+        assert cli.parse_rational("1e-400") == Fraction(1, 10 ** 400)
+        for text in (f"1e{bound + 1}", f"1e-{bound + 1}", "0e+3000000", "1.5E3_000_000"):
+            with pytest.raises(ValueError, match="exponent of"):
+                cli.parse_rational(text)
+
+    def test_other_texts_reach_fraction(self):
+        assert cli.parse_rational("3/4") == Fraction(3, 4)
+        for text in ("e", "1e", "1/2e5", "tight", "1e5/3"):
+            with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+                cli.parse_rational(text)
 
 
 class TestIntegrate:
@@ -220,6 +238,37 @@ class TestIntegrateConfigErrors:
                                   "--h", "0.1", "--steps", "2"])
         assert (code, out) == (1, "")
         assert err == "birat: error: params: '1e400' is beyond the float range\n"
+
+    HUGE = "1e3000000"  # Fraction would build 10**3000000, which takes seconds
+
+    @pytest.mark.parametrize("extra, field, token", [
+        (["--model", "lv", "--h", HUGE], "h", HUGE),
+        (["--model", "lv", "--h", "0.1", "--x0", "1,-1e-3000000"], "x0", "-1e-3000000"),
+        (["--model", "lv", "--h", "0.1", "--tol", "1E+3000000"], "tol", "1E+3000000"),
+        (["--model", "enzyme3", "--h", "1e-3", "--params", f"mu=0.5,nu={HUGE},eps=0.1"],
+         "params.nu", HUGE),
+    ], ids=["h", "x0", "tol", "params"])
+    def test_huge_exponent_rejected_before_building_the_value(self, extra, field, token):
+        code, out, err = run_cli(["integrate", "--method", "kahan", "--steps", "2", *extra])
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: {field}: cannot parse {token!r} as a number\n"
+
+    def test_huge_exponent_in_scheme_rejected(self):
+        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                  "--params", f"{self.HUGE},0,0,0,1,0,0,-1,0,2",
+                                  "--h", "0.1", "--steps", "2"])
+        assert (code, out) == (1, "")
+        assert err == (f"birat: error: params: exponent of {self.HUGE!r} exceeds"
+                       f" {cli.MAX_DECIMAL_EXPONENT} in size\n")
+
+    def test_tiny_decimal_still_parses_to_zero(self):
+        code, out, _ = run_cli(["integrate", "--model", "lv", "--method", "kahan",
+                                "--h", "0.1", "--x0", "1e-400,1", "--steps", "1"])
+        assert code == 0
+        assert out.splitlines()[1] == "0,0,1"
+        code, _, err = run_cli(["integrate", "--model", "lv", "--method", "kahan",
+                                "--h", "1e-400", "--steps", "1"])
+        assert (code, err) == (1, "birat: error: h: must be nonzero\n")
 
     @pytest.mark.parametrize("model, params, missing, required", [
         ("enzyme3", "mu=0.5", "nu, eps", "mu, nu, eps"),
@@ -420,6 +469,13 @@ class TestClassify:
         code, _, err = run_cli(["classify", "1/0,0,0,0,1,0,0,0,0,1"])
         assert code == 1
         assert "malformed rational" in err
+
+    def test_huge_exponent_rejected(self):
+        params = "1e3000000,1,0,0,0,1/2,0,0,1/2,1/2"
+        code, out, err = run_cli(["classify", params])
+        assert (code, out) == (1, "")
+        assert err == (f"classify: malformed rational in {params!r}: exponent of"
+                       f" '1e3000000' exceeds {cli.MAX_DECIMAL_EXPONENT} in size\n")
 
     def test_wrong_count(self):
         code, _, err = run_cli(["classify", "1,2,3"])
@@ -639,6 +695,17 @@ class TestConfigFile:
         code, out, err = run_cli(["integrate", "--config", str(cfg)])
         assert (code, out) == (1, "")
         assert err == f"birat: error: x0: '{10 ** 400}' is beyond the float range\n"
+
+    @pytest.mark.parametrize("field, value", [("h", "1e-3000000"), ("x0", ["1e3000000", 1]),
+                                              ("tol", "1e20000")])
+    def test_huge_exponent_string_rejected(self, tmp_path, field, value):
+        run = {"model": "lv", "method": "kahan", "h": 0.1, "steps": 2, field: value}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run))
+        code, out, err = run_cli(["integrate", "--config", str(cfg)])
+        token = value[0] if isinstance(value, list) else value
+        assert (code, out) == (1, "")
+        assert err == f"birat: error: {field}: cannot parse {token!r} as a number\n"
 
     def test_over_long_integer_rejected(self, tmp_path):
         cfg = tmp_path / "run.json"

@@ -31,6 +31,7 @@ from birat.lvfamily import (
     LVParams,
     _eliminate,
     _relation_coeffs,
+    _symbolic_relations,
     case_iv_blend,
     check_sympcon,
     classify_birational,
@@ -48,9 +49,10 @@ from birat.lvfamily import (
     symplectic_residual,
 )
 from birat.models import lv_vf
-from birat.ratpoly import MultiPoly
+from birat.ratpoly import MultiPoly, perfect_square_root
 
 X = MultiPoly.variable("x")
+Y = MultiPoly.variable("y")
 H = MultiPoly.variable("h")
 ONE = MultiPoly.constant(1)
 
@@ -287,6 +289,56 @@ class TestCertificates:
             doc = classify_params(p, certify=True).to_json_dict()
             digest.update(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest() == self.CERTIFICATE_SHA256
+
+
+def reference_certificate(p):
+    """The generic certificate pipeline, one MultiPoly operation at a time: the
+    relations from _relation_coeffs over x, y, h, the inverse scheme from
+    invert_params, and the discriminants as p1 * p1 - 4 * p2 * p0."""
+    def quadratic(q):
+        return _eliminate(*_relation_coeffs(tuple(q.to_list()), X, Y, H, ONE))
+
+    forward = quadratic(p)
+    backward = tuple(q.negate_h() for q in quadratic(invert_params(p)))
+    discs = [q[1] * q[1] - 4 * q[0] * q[2] for q in (forward, backward)]
+    roots = [perfect_square_root(d) for d in discs]
+    ok = [q[0].is_zero or r is not None for q, r in zip((forward, backward), roots)]
+    return {
+        "verdict": BIRATIONAL if all(ok) else NOT_CERTIFIED,
+        "forward_quadratic": [q.render() for q in forward],
+        "backward_quadratic": [q.render() for q in backward],
+        "forward_discriminant": discs[0].render(),
+        "backward_discriminant": discs[1].render(),
+        "forward_root": None if roots[0] is None else roots[0].render(),
+        "backward_root": None if roots[1] is None else roots[1].render(),
+    }
+
+
+class TestExactSymbolicSide:
+    """The term-built relations and the product kernel against the generic pipeline."""
+
+    @given(constrained)
+    def test_relations_match_relation_coeffs(self, p):
+        assert _symbolic_relations(p) == _relation_coeffs(tuple(p.to_list()), X, Y, H, ONE)
+
+    @given(constrained)
+    def test_inverse_relations_match_invert_params(self, p):
+        q = invert_params(p)
+        assert _symbolic_relations(p, inverse=True) == _symbolic_relations(q)
+        assert _symbolic_relations(p, inverse=True) \
+            == _relation_coeffs(tuple(q.to_list()), X, Y, H, ONE)
+
+    def test_certificate_matches_reference_pipeline(self):
+        rng = random.Random(22)
+        sets = [random_case_params(label, rng) for _ in range(60) for label in CASE_LABELS]
+        sets += [random_noncase_params(rng) for _ in range(100)]
+        assert len(sets) >= 500
+        verdicts = set()
+        for p in sets:
+            doc = symbolic_certificate(p).to_json_dict()
+            assert doc == reference_certificate(p), p
+            verdicts.add(doc["verdict"])
+        assert verdicts == {BIRATIONAL, NOT_CERTIFIED}
 
 
 class TestHamiltonian:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birat.ratpoly import MultiPoly, parse_poly, perfect_square_root
+from birat.ratpoly import MultiPoly, parse_poly, perfect_square_root, sum_of_products
 
 X = MultiPoly.variable("x")
 Y = MultiPoly.variable("y")
@@ -32,6 +32,21 @@ def cancelling_pairs(draw):
     extra = draw(st.dictionaries(wide_exponents, wide_coeffs, max_size=4))
     extra.update({key: -p.terms[key] for key in keys})
     return p, MultiPoly(extra)
+
+
+@st.composite
+def product_lists(draw):
+    """(k, a, b) triples over a small pool of polynomials: some with ``a is b``,
+    zero polynomials, k = 0 and negative k, and mixed denominators."""
+    pool = draw(st.lists(st.one_of(polys, wide_polys, st.just(MultiPoly.zero())),
+                         min_size=1, max_size=4))
+    triples = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = draw(st.integers(-6, 6))
+        a = draw(st.sampled_from(pool))
+        b = a if draw(st.booleans()) else draw(st.sampled_from(pool))
+        triples.append((k, a, b))
+    return triples
 
 
 def schoolbook(op, a, b):
@@ -195,6 +210,35 @@ class TestRingKernel:
             assert_canonical(right)
             assert left == right
             assert hash(left) == hash(right)
+
+    @given(st.one_of(wide_coeffs, st.integers(-5, 5), st.just(0)))
+    def test_constant_hashes_like_its_value(self, value):
+        """A constant polynomial equals its value, so it hashes like it too."""
+        const = MultiPoly.constant(value)
+        assert const == value and hash(const) == hash(value)
+        assert const in {value} and value in {const}
+        assert (const * X - X * value).is_zero and hash(const - value) == hash(0)
+
+    @settings(max_examples=300)
+    @given(product_lists())
+    def test_sum_of_products_matches_schoolbook(self, triples):
+        expected = {}
+        for k, a, b in triples:
+            scaled = {key: k * c for key, c in schoolbook("*", a.terms, b.terms).items()}
+            expected = schoolbook("+", expected, scaled)
+        result = sum_of_products(triples)
+        assert result.terms == expected
+        assert_canonical(result)
+        assert result == MultiPoly(expected) and hash(result) == hash(MultiPoly(expected))
+
+    def test_sum_of_products_edge_cases(self):
+        zero = MultiPoly.zero()
+        assert sum_of_products([]) == zero
+        assert sum_of_products([(0, X, Y), (3, zero, X), (2, X, zero), (5, zero, zero)]) == zero
+        assert sum_of_products([(1, X, Y), (-1, Y, X)]) == zero
+        half = Fraction(1, 2) * X + Fraction(1, 3)
+        assert sum_of_products([(1, half, half), (-4, X, Fraction(1, 12) * ONE)]) \
+            == Fraction(1, 4) * X * X + Fraction(1, 9)
 
 
 class TestEvaluation:
