@@ -20,6 +20,7 @@ from .driver import orbit
 from .errors import BiratError, ConstraintViolation
 from .lvfamily import LVParams, classify_params, lv_step
 from .models import MODELS, model_vector_field, schnakenberg_step, schnakenberg_vf
+from .ratpoly import parse_rational
 
 log = logging.getLogger("birat.cli")
 
@@ -46,28 +47,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_CONFIG)
-
-
-# Fraction("1e3000000") builds 10**3000000, which takes seconds; CPython already
-# caps the digit count, so the decimal exponent is the one unbounded part.
-MAX_DECIMAL_EXPONENT = 10_000
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", integer, or decimal text into an exact Fraction.
-
-    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size is a ValueError.
-    """
-    text = text.strip()
-    _, e, exponent = text.lower().rpartition("e")
-    if e:
-        try:
-            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
-        except ValueError:  # not an exponent; Fraction reports the text
-            too_large = False
-        if too_large:
-            raise ValueError(f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
-    return Fraction(text)
 
 
 def _parse_float(text: str, what: str) -> float:

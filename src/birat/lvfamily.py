@@ -107,17 +107,17 @@ class LVParams:
 
     @cached_property
     def elimination_order(self) -> str | None:
-        """The unknown :func:`lv_step` solves for first, read from the exact relations.
+        """The unknown :func:`lv_step` solves for first, read from the exact quadratics.
 
         "yt" when eliminating xt leaves an equation in yt whose quadratic
-        coefficient p2 vanishes identically over Q[x, y, h] (tested first),
-        else "xt" when eliminating yt leaves q2 = 0 likewise.  None for a set
-        with neither, whose order lv_step tests in floats at every step.
+        coefficient p2 = c h + c (1 - A) h^2 + (C d - c D) x h^2 vanishes
+        identically (tested first), else "xt" when eliminating yt leaves
+        q2 = C h + C (a - 1) h^2 + (C e - c E) y h^2 = 0 likewise.  None for a
+        set with neither, whose order lv_step tests in floats at every step.
         """
-        c1, u1, v1, uv1, c2, u2, v2, uv2 = _symbolic_relations(self)
-        if _exact_eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2)[0].is_zero:
+        if self.c == 0 and self.C * self.d == 0:
             return "yt"
-        if _exact_eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0].is_zero:
+        if self.C == 0 and self.c * self.E == 0:
             return "xt"
         return None
 
@@ -150,36 +150,34 @@ def case_iv_blend(d) -> LVParams:
 # -- classification ----------------------------------------------------------------
 
 
-def _in_template(p: LVParams, zeros: str, ties: dict[str, str]) -> bool:
-    return (all(getattr(p, w) == 0 for w in zeros)
-            and all(getattr(p, w) == getattr(p, t) for w, t in ties.items()))
+def _zero_weights(p: LVParams) -> frozenset[str]:
+    """Names of p's weights (b..e, B..E) that are zero."""
+    return frozenset(w for w in "bcdeBCDE" if not getattr(p, w))
 
 
 def classify_birational(p: LVParams) -> tuple[str, ...]:
     """Labels of the birational case templates containing p (possibly several)."""
-    return tuple(label for label, zeros in _CASE_TEMPLATES.items() if _in_template(p, zeros, {}))
+    zero = _zero_weights(p)
+    return tuple(label for label, zeros in _CASE_TEMPLATES.items() if zero.issuperset(zeros))
 
 
 def classify_symplectic(p: LVParams) -> tuple[str, ...]:
     """Labels of the symplectic case templates containing p."""
+    zero = _zero_weights(p)
     return tuple(label for label, (case, ties) in _SYMPLECTIC_TEMPLATES.items()
-                 if _in_template(p, _CASE_TEMPLATES[case], ties))
+                 if zero.issuperset(_CASE_TEMPLATES[case])
+                 and all(getattr(p, w) == getattr(p, t) for w, t in ties.items()))
 
 
 def check_sympcon(p: LVParams) -> bool:
     """Product conditions equivalent to preservation of dx ^ dy / (x y):
 
-    d E - D e = c C = d C = c E = b B = b D = e B = 0.
+    d E - D e = c C = d C = c E = b B = b D = e B = 0.  Each two-weight
+    product vanishes when one of its weights is zero.
     """
-    return (
-        p.d * p.E - p.D * p.e == 0
-        and p.c * p.C == 0
-        and p.d * p.C == 0
-        and p.c * p.E == 0
-        and p.b * p.B == 0
-        and p.b * p.D == 0
-        and p.e * p.B == 0
-    )
+    zero = _zero_weights(p)
+    return (all(zero.intersection(pair) for pair in ("cC", "dC", "cE", "bB", "bD", "eB"))
+            and p.d * p.E == p.D * p.e)
 
 
 def invert_params(p: LVParams) -> LVParams:
@@ -202,9 +200,8 @@ def _relation_coeffs(vals, x, y, h, one):
     Returns (c1, u1, v1, uv1, c2, u2, v2, uv2) for h-scaled residuals E1, E2
     that vanish on step pairs.  This is the float body of lv_step,
     _float_order and step_residuals, whose operation order fixes their output
-    bits; the tests also run it over Fraction and MultiPoly as an oracle.
-    The exact certificate builds the same coefficients term by term in
-    :func:`_symbolic_relations`.
+    bits; the tests also run it over Fraction and MultiPoly as the oracle
+    of the closed forms in :func:`_elimination_quadratics`.
     """
     a, b, c, d, e, A, B, C, D, E = vals
     e1c = h * b * x * y - x - h * a * x
@@ -331,36 +328,32 @@ class SymbolicCertificate:
         }
 
 
-def _symbolic_relations(p: LVParams, inverse: bool = False):
-    """:func:`_relation_coeffs` of p over Q[x, y, h], built from their terms.
+def _elimination_quadratics(p: LVParams, inverse: bool = False):
+    """:func:`_eliminate` of p's relations over Q[x, y, h], in closed form.
 
-    ``inverse=True`` gives those of ``invert_params(p)`` by the same swap.
-    Every coefficient is an integer over the lcm ``L`` of the parameters'
-    denominators (so 1 is ``L``); terms are keyed by exponents (x, y, h).
+    With the parameters as integers over the lcm ``L`` of their denominators,
+    every coefficient is an integer over ``L**2``; terms are keyed by
+    exponents (x, y, h).  The terms odd in h carry the factor ``s = L``.
+    ``inverse=True`` gives the backward quadratics, those of
+    ``invert_params(p)`` with h negated: the same swap of the integers, and
+    ``s = -L``.
     """
     vals = p.to_list()
     L = math.lcm(*(v.denominator for v in vals))
     a, b, c, d, e, A, B, C, D, E = (v.numerator * (L // v.denominator) for v in vals)
+    s = L
     if inverse:
         a, b, c, d, e, A, B, C, D, E = L - a, c, b, e, d, L - A, C, B, E, D
-    raw = MultiPoly._raw
-    return (
-        raw({(1, 1, 1): b, (1, 0, 0): -L, (1, 0, 1): -a}, L),  # c1 = b h x y - x - a h x
-        raw({(0, 0, 0): L, (0, 0, 1): a - L, (0, 1, 1): e}, L),  # u1 = 1 - (1-a) h + e h y
-        raw({(1, 0, 1): d}, L),  # v1 = d h x
-        raw({(0, 0, 1): c}, L),  # uv1 = c h
-        raw({(0, 1, 1): A, (0, 1, 0): -L, (1, 1, 1): -B}, L),  # c2 = A h y - y - B h x y
-        raw({(0, 1, 1): -E}, L),  # u2 = -E h y
-        raw({(0, 0, 0): L, (0, 0, 1): L - A, (1, 0, 1): -D}, L),  # v2 = 1 + (1-A) h - D h x
-        raw({(0, 0, 1): -C}, L),  # uv2 = -C h
-    )
-
-
-def _exact_eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2):
-    """:func:`_eliminate` over MultiPoly, one product kernel call per coefficient."""
-    p2 = sum_of_products(((1, uv1, v2), (-1, uv2, v1)))
-    p1 = sum_of_products(((1, u1, v2), (1, uv1, c2), (-1, u2, v1), (-1, uv2, c1)))
-    p0 = sum_of_products(((1, u1, c2), (-1, u2, c1)))
+        s = -L
+    raw, LL = MultiPoly._raw, L * L
+    p2 = raw({(0, 0, 1): s * c, (0, 0, 2): c * (L - A), (1, 0, 2): C * d - c * D}, LL)
+    p1 = raw({(0, 0, 0): LL, (0, 0, 1): s * (a - A), (0, 0, 2): (L - A) * (a - L),
+              (0, 1, 1): s * (e - c), (0, 1, 2): A * c - A * e + L * e,
+              (1, 0, 1): -s * (C + D), (1, 0, 2): D * L - D * a - C * a,
+              (1, 1, 2): C * b - B * c + E * d - D * e}, LL)
+    p0 = raw({(0, 1, 0): -LL, (0, 1, 1): s * (A + L - a), (0, 1, 2): A * (a - L),
+              (0, 2, 1): -s * e, (0, 2, 2): A * e, (1, 1, 1): -s * (B + E),
+              (1, 1, 2): B * L - B * a - E * a, (1, 2, 2): E * b - B * e}, LL)
     return p2, p1, p0
 
 
@@ -374,12 +367,14 @@ def symbolic_certificate(p: LVParams) -> SymbolicCertificate:
     Forward direction: eliminate xt, leaving a quadratic in yt.  Backward
     direction: the inverse scheme with h negated, whose elimination yields
     the quadratic satisfied by the departure y as a function of the arrival
-    point.  Each direction is solvable in radicals-free form precisely when
-    its leading coefficient vanishes identically or its discriminant is a
-    polynomial square.
+    point.  Both come from :func:`_elimination_quadratics` in closed form,
+    so the only polynomial arithmetic left is the discriminants and their
+    square roots.  Each direction is solvable in radicals-free form
+    precisely when its leading coefficient vanishes identically or its
+    discriminant is a polynomial square.
     """
-    forward = _exact_eliminate(*_symbolic_relations(p))
-    backward = tuple(q.negate_h() for q in _exact_eliminate(*_symbolic_relations(p, True)))
+    forward = _elimination_quadratics(p)
+    backward = _elimination_quadratics(p, inverse=True)
 
     disc_f = _discriminant(*forward)
     disc_b = _discriminant(*backward)

@@ -18,12 +18,36 @@ VARIABLES = ("x", "y", "h")
 _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 
 
+# Fraction("1e3000000") builds 10**3000000, which takes seconds; CPython already
+# caps the digit count, so the decimal exponent is the one unbounded part.
+MAX_DECIMAL_EXPONENT = 10_000
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse "p/q", integer, or decimal text into an exact Fraction.
+
+    A decimal exponent beyond ``MAX_DECIMAL_EXPONENT`` in size is a ValueError.
+    """
+    text = text.strip()
+    _, e, exponent = text.lower().rpartition("e")
+    if e:
+        try:
+            too_large = abs(int(exponent)) > MAX_DECIMAL_EXPONENT
+        except ValueError:  # not an exponent; Fraction reports the text
+            too_large = False
+        if too_large:
+            raise ValueError(f"exponent of {text!r} exceeds {MAX_DECIMAL_EXPONENT} in size")
+    return Fraction(text)
+
+
 def _as_fraction(value) -> Fraction:
     """Coerce to Fraction, rejecting floats: exactness is the point here."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, str):
+        return parse_rational(value)
     raise TypeError(f"expected an exact rational (Fraction, int or string),"
                     f" got {type(value).__name__}")
 
@@ -126,17 +150,6 @@ class MultiPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if exponent < 0:
-            raise ValueError("negative power of a polynomial")
-        result, base, n = MultiPoly.constant(1), self, exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
             try:
@@ -155,32 +168,6 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.num
-
-    def degree(self, name: str) -> int:
-        """Largest exponent of the named variable; -1 for the zero polynomial."""
-        idx = _VAR_INDEX[name]
-        return max((key[idx] for key in self.num), default=-1)
-
-    def leading_term(self) -> tuple[tuple[int, int, int], Fraction]:
-        """Term with the lexicographically largest exponent triple."""
-        if not self.num:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.num)
-        return key, Fraction(self.num[key], self.den)
-
-    # -- evaluation ----------------------------------------------------------
-
-    def evaluate(self, x, y, h) -> Fraction:
-        """Exact evaluation at rational arguments."""
-        x, y, h = _as_fraction(x), _as_fraction(y), _as_fraction(h)
-        total = sum((n * x**ex * y**ey * h**eh for (ex, ey, eh), n in self.num.items()),
-                    Fraction(0))
-        return total / self.den
-
-    def negate_h(self) -> "MultiPoly":
-        """Substitute h -> -h."""
-        return MultiPoly._raw({key: -n if key[2] % 2 else n for key, n in self.num.items()},
-                              self.den)
 
     # -- rendering -----------------------------------------------------------
 
@@ -242,50 +229,6 @@ def sum_of_products(products) -> MultiPoly:
                     key = (ax + bx, ay + by, ah + bh)
                     acc[key] = get(key, 0) + an * bn
     return MultiPoly._raw(acc, den)
-
-
-def parse_poly(text: str) -> MultiPoly:
-    """Inverse of :meth:`MultiPoly.render`.
-
-    Accepts sums of terms ``coeff*x^i*y^j*h^k`` with any factor omitted,
-    rational coefficients like ``3/2``, and either ASCII ``-`` or a unicode
-    minus sign.
-    """
-    cleaned = text.replace("−", "-").replace(" ", "")
-    if not cleaned:
-        raise ValueError("empty polynomial string")
-    # Split into signed terms.  Exponents and rationals never contain signs,
-    # so every + or - past position 0 starts a new term.
-    pieces: list[str] = []
-    start = 0
-    for i in range(1, len(cleaned)):
-        if cleaned[i] in "+-":
-            pieces.append(cleaned[start:i])
-            start = i
-    pieces.append(cleaned[start:])
-
-    total = MultiPoly.zero()
-    for piece in pieces:
-        sign = Fraction(1)
-        if piece and piece[0] in "+-":
-            sign = Fraction(-1) if piece[0] == "-" else Fraction(1)
-            piece = piece[1:]
-        if not piece:
-            raise ValueError(f"dangling sign in {text!r}")
-        coeff = sign
-        exps = [0, 0, 0]
-        for factor in piece.split("*"):
-            if not factor:
-                raise ValueError(f"empty factor in {text!r}")
-            if factor[0] in _VAR_INDEX:
-                name, caret, power = factor.partition("^")
-                if name not in _VAR_INDEX or (caret and not power.isdigit()):
-                    raise ValueError(f"bad factor {factor!r} in {text!r}")
-                exps[_VAR_INDEX[name]] += int(power) if caret else 1
-            else:
-                coeff *= Fraction(factor)
-        total = total + MultiPoly({tuple(exps): coeff})
-    return total
 
 
 def perfect_square_root(p: MultiPoly) -> MultiPoly | None:

@@ -22,6 +22,7 @@ from birat.errors import SingularStepMatrix
 from birat.kahan import KahanStepConfig, kahan_step_series
 from birat.lvfamily import MICKENS_SCHEME, lv_step
 from birat.models import MODELS, lv_vf
+from birat.ratpoly import MAX_DECIMAL_EXPONENT
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
 QUARTERS = ",".join(["1/4"] * 10)
@@ -43,7 +44,7 @@ def run_cli(argv):
 
 class TestParseRational:
     def test_exponent_bound(self):
-        bound = cli.MAX_DECIMAL_EXPONENT
+        bound = MAX_DECIMAL_EXPONENT
         assert cli.parse_rational(f" 1e{bound} ") == 10 ** bound
         assert cli.parse_rational(f"-2.5E-{bound}") == Fraction(-25, 10 ** (bound + 1))
         assert cli.parse_rational("1e-400") == Fraction(1, 10 ** 400)
@@ -259,7 +260,7 @@ class TestIntegrateConfigErrors:
                                   "--h", "0.1", "--steps", "2"])
         assert (code, out) == (1, "")
         assert err == (f"birat: error: params: exponent of {self.HUGE!r} exceeds"
-                       f" {cli.MAX_DECIMAL_EXPONENT} in size\n")
+                       f" {MAX_DECIMAL_EXPONENT} in size\n")
 
     def test_tiny_decimal_still_parses_to_zero(self):
         code, out, _ = run_cli(["integrate", "--model", "lv", "--method", "kahan",
@@ -475,7 +476,7 @@ class TestClassify:
         code, out, err = run_cli(["classify", params])
         assert (code, out) == (1, "")
         assert err == (f"classify: malformed rational in {params!r}: exponent of"
-                       f" '1e3000000' exceeds {cli.MAX_DECIMAL_EXPONENT} in size\n")
+                       f" '1e3000000' exceeds {MAX_DECIMAL_EXPONENT} in size\n")
 
     def test_wrong_count(self):
         code, _, err = run_cli(["classify", "1,2,3"])

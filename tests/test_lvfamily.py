@@ -1,5 +1,6 @@
 """Ten-parameter bilinear predator-prey family: steps, cases, certificates."""
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -29,9 +30,11 @@ from birat.lvfamily import (
     DEFAULT_STEP_TOL,
     ClassificationReport,
     LVParams,
+    _CASE_TEMPLATES,
+    _SYMPLECTIC_TEMPLATES,
+    _elimination_quadratics,
     _eliminate,
     _relation_coeffs,
-    _symbolic_relations,
     case_iv_blend,
     check_sympcon,
     classify_birational,
@@ -67,6 +70,9 @@ def constrained_params(draw_tuple):
 
 
 constrained = st.tuples(*[small_fractions] * 8).map(constrained_params)
+# constrained sets whose weights are often zero, so that every template is reached
+sparse_constrained = st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8) \
+    .map(constrained_params)
 
 
 class TestParams:
@@ -79,6 +85,13 @@ class TestParams:
     def test_from_list_length(self):
         with pytest.raises(ValueError):
             LVParams.from_list([1, 0, 0, 0, 1])
+
+    def test_huge_exponent_rejected(self):
+        # Fraction("1e2000000") would build 10**2000000, which takes about a second
+        with pytest.raises(ValueError, match="exponent of '1e2000000' exceeds"):
+            LVParams.from_list(["1e2000000", 1, 0, 0, 0, "1/2", 0, 0, "1/2", "1/2"])
+        with pytest.raises(ValueError, match="exponent of"):
+            case_iv_blend("-1E-2000000")
 
     def test_exact_storage(self):
         p = LVParams.from_list(["1/3", "1/3", "1/3", "1/3", 0, 0, 1, 0, 0, 0])
@@ -117,6 +130,40 @@ class TestNamedSchemes:
 
     def test_quarters_outside_all_cases(self):
         assert classify_birational(QUARTERS) == ()
+
+
+def member(p, zeros, ties):
+    """Template membership read one Fraction comparison at a time."""
+    return (all(getattr(p, w) == 0 for w in zeros)
+            and all(getattr(p, w) == getattr(p, t) for w, t in ties.items()))
+
+
+def weight_grid():
+    """Every weight group (b, c, d, e) with three weights from {0, 1/2, 1} and the
+    fourth closing the sum to 1, so any weight can be zero or match another."""
+    groups = set()
+    for free in itertools.product((Fraction(0), Fraction(1, 2), Fraction(1)), repeat=3):
+        for slot in range(4):
+            vals = list(free)
+            vals.insert(slot, 1 - sum(free))
+            groups.add(tuple(vals))
+    return sorted(groups)
+
+
+class TestTemplateMembership:
+    def test_matches_fraction_comparisons(self):
+        groups = weight_grid()
+        for (b, c, d, e), (B, C, D, E) in itertools.product(groups, groups):
+            p = LVParams(Fraction(1, 2), b, c, d, e, Fraction(1, 2), B, C, D, E)
+            assert classify_birational(p) == tuple(
+                label for label, zeros in _CASE_TEMPLATES.items() if member(p, zeros, {}))
+            assert classify_symplectic(p) == tuple(
+                label for label, (case, ties) in _SYMPLECTIC_TEMPLATES.items()
+                if member(p, _CASE_TEMPLATES[case], ties))
+            assert check_sympcon(p) == (p.d * p.E - p.D * p.e == 0 and p.c * p.C == 0
+                                        and p.d * p.C == 0 and p.c * p.E == 0
+                                        and p.b * p.B == 0 and p.b * p.D == 0
+                                        and p.e * p.B == 0), p
 
 
 class TestInversion:
@@ -291,15 +338,25 @@ class TestCertificates:
         assert digest.hexdigest() == self.CERTIFICATE_SHA256
 
 
+def negate_h(q):
+    """q with h -> -h."""
+    return MultiPoly({key: -c if key[2] % 2 else c for key, c in q.terms.items()})
+
+
+def reference_quadratics(p):
+    """_eliminate over the relations from _relation_coeffs in x, y, h: (p2, p1, p0)
+    with xt eliminated, and q2, the quadratic coefficient with yt eliminated."""
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(tuple(p.to_list()), X, Y, H, ONE)
+    q2 = _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)[0]
+    return _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2), q2
+
+
 def reference_certificate(p):
     """The generic certificate pipeline, one MultiPoly operation at a time: the
     relations from _relation_coeffs over x, y, h, the inverse scheme from
     invert_params, and the discriminants as p1 * p1 - 4 * p2 * p0."""
-    def quadratic(q):
-        return _eliminate(*_relation_coeffs(tuple(q.to_list()), X, Y, H, ONE))
-
-    forward = quadratic(p)
-    backward = tuple(q.negate_h() for q in quadratic(invert_params(p)))
+    forward = reference_quadratics(p)[0]
+    backward = tuple(negate_h(q) for q in reference_quadratics(invert_params(p))[0])
     discs = [q[1] * q[1] - 4 * q[0] * q[2] for q in (forward, backward)]
     roots = [perfect_square_root(d) for d in discs]
     ok = [q[0].is_zero or r is not None for q, r in zip((forward, backward), roots)]
@@ -315,18 +372,21 @@ def reference_certificate(p):
 
 
 class TestExactSymbolicSide:
-    """The term-built relations and the product kernel against the generic pipeline."""
+    """The closed-form quadratics against the generic pipeline."""
 
-    @given(constrained)
-    def test_relations_match_relation_coeffs(self, p):
-        assert _symbolic_relations(p) == _relation_coeffs(tuple(p.to_list()), X, Y, H, ONE)
+    @given(st.one_of(constrained, sparse_constrained))
+    def test_forward_quadratics_match_eliminate(self, p):
+        assert _elimination_quadratics(p) == reference_quadratics(p)[0]
 
-    @given(constrained)
-    def test_inverse_relations_match_invert_params(self, p):
-        q = invert_params(p)
-        assert _symbolic_relations(p, inverse=True) == _symbolic_relations(q)
-        assert _symbolic_relations(p, inverse=True) \
-            == _relation_coeffs(tuple(q.to_list()), X, Y, H, ONE)
+    @given(st.one_of(constrained, sparse_constrained))
+    def test_backward_quadratics_match_inverse_scheme(self, p):
+        expected = tuple(negate_h(q) for q in reference_quadratics(invert_params(p))[0])
+        assert _elimination_quadratics(p, inverse=True) == expected
+
+    @given(st.one_of(constrained, sparse_constrained))
+    def test_elimination_order_matches_reference(self, p):
+        (p2, _, _), q2 = reference_quadratics(p)
+        assert p.elimination_order == ("yt" if p2.is_zero else "xt" if q2.is_zero else None)
 
     def test_certificate_matches_reference_pipeline(self):
         rng = random.Random(22)

@@ -15,7 +15,7 @@ EXPORTED = {
     "kahan": ["KahanStepConfig", "kahan_inverse_step", "kahan_step", "kahan_step_series",
               "map_multipliers_at_fixed_point", "multiplier_of_eigenvalue",
               "rk_equivalence_residual"],
-    "ratpoly": ["MultiPoly", "parse_poly", "perfect_square_root"],
+    "ratpoly": ["MultiPoly", "perfect_square_root"],
     "lvfamily": ["CASE_VI_SCHEME", "KAHAN_SCHEME", "MICKENS_SCHEME", "ClassificationReport",
                  "LVParams", "SymbolicCertificate", "case_iv_blend", "check_sympcon",
                  "classify_birational", "classify_params", "classify_symplectic",
