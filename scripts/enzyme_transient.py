@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from birat.geomcheck import Trajectory, conservation_drift, iterate_map
-from birat.kahan import KahanStepConfig, kahan_step
+from birat.kahan import kahan_step
 from birat.models import DimensionlessEnzymeParams, enzyme_diml_vf, michaelis_menten
 
 
@@ -29,10 +29,9 @@ def main(argv=None):
 
     p = DimensionlessEnzymeParams(mu=args.mu, nu=args.nu, eps=args.eps)
     vf = enzyme_diml_vf(p)
-    cfg = KahanStepConfig(h=args.h)
     steps = int(round(args.t_end / args.h))
 
-    states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.0, 0.0], steps)
+    states = iterate_map(lambda s: kahan_step(vf, s, args.h), [1.0, 0.0, 0.0], steps)
 
     with open(args.output, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -50,7 +50,7 @@ def main(argv=None):
     print(f"wrote {args.output} ({args.steps + 1} rows)")
 
     traj = Trajectory(states, args.h)
-    returns = [float(s[1]) for s in transversal_crossings(traj, 0, xs, increasing=True)]
+    returns = [float(s[1]) for s in transversal_crossings(traj, 0, xs)]
     if len(returns) < 2:
         print("fewer than two section returns; lengthen the run")
         return 1

@@ -16,8 +16,8 @@ _EXPORTS = {
     ),
     "quadvf": ("QuadraticVectorField",),
     "kahan": (
-        "KahanStepConfig", "kahan_inverse_step", "kahan_step", "kahan_step_series",
-        "map_multipliers_at_fixed_point", "multiplier_of_eigenvalue", "rk_equivalence_residual",
+        "kahan_inverse_step", "kahan_step", "kahan_step_series", "map_multipliers_at_fixed_point",
+        "multiplier_of_eigenvalue", "rk_equivalence_residual",
     ),
     "ratpoly": ("MultiPoly", "perfect_square_root"),
     "lvfamily": (

@@ -13,7 +13,6 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .driver import orbit
@@ -113,7 +112,7 @@ class RunConfig:
     steps: int
     x0: list[float] | None = None
     params: dict | None = None
-    scheme: list[Fraction] | None = None
+    scheme: LVParams | None = None
     output: str | None = None
     format: str = "csv"
     tol: float = 1e-9
@@ -177,8 +176,7 @@ def _build_run_config(args) -> RunConfig:
     )
 
     params_raw = merged.get("params")
-    wants_scheme = method == "lv-family"
-    if wants_scheme:
+    if method == "lv-family":
         if model != "lv":
             raise ConfigError("method: lv-family applies to model lv only")
         if params_raw is None:
@@ -197,7 +195,7 @@ def _build_run_config(args) -> RunConfig:
         for tok in toks:  # the step runs on the float values
             _parse_float(tok, "params")
         try:
-            cfg.scheme = LVParams.from_list(vals).to_list()
+            cfg.scheme = LVParams.from_list(vals)
         except (ConstraintViolation, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from exc
     else:
@@ -258,15 +256,15 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequenc
         if not quadratic:
             raise ConfigError(f"method: model {cfg.model} is cubic; use method"
                               " schnakenberg or euler")
-        from .kahan import KahanStepConfig, kahan_step
+        from .kahan import kahan_step, kahan_step_series
 
-        vf = model_vector_field(cfg.model, params)
-        step_cfg = KahanStepConfig(h=cfg.h, series_order=series_order)
-        return lambda state: kahan_step(vf, state, step_cfg)
+        vf, h = model_vector_field(cfg.model, params), cfg.h
+        if series_order is None:
+            return lambda state: kahan_step(vf, state, h)
+        return lambda state: kahan_step_series(vf, state, h, series_order)
 
     if method == "lv-family":
-        scheme = LVParams.from_list(cfg.scheme)
-        return lambda state: lv_step(scheme, state[0], state[1], cfg.h, tol=cfg.tol)
+        return lambda state: lv_step(cfg.scheme, state[0], state[1], cfg.h, tol=cfg.tol)
 
     if method == "schnakenberg":
         if cfg.model != "schnakenberg":

@@ -194,21 +194,16 @@ def orbit_verdict(traj: Trajectory, monitor=None) -> OrbitVerdict:
     return OrbitVerdict(kind=INCONCLUSIVE, amplitude_ratio=ratio, secular_slope=slope)
 
 
-def transversal_crossings(
-    traj: Trajectory, component: int, level: float, increasing: bool = True
-) -> list[np.ndarray]:
-    """Linearly interpolated states where a component crosses a level.
+def transversal_crossings(traj: Trajectory, component: int, level: float) -> list[np.ndarray]:
+    """Linearly interpolated states where a component crosses a level upward.
 
-    Only crossings in the requested direction are kept; each returned state
-    lies on the section to interpolation accuracy.
+    Each returned state lies on the section to interpolation accuracy.
     """
     series = traj.states[:, component]
     crossings = []
     for k in range(len(series) - 1):
         lo, hi = series[k], series[k + 1]
-        if increasing and not (lo < level <= hi):
-            continue
-        if not increasing and not (lo > level >= hi):
+        if not (lo < level <= hi):
             continue
         frac = (level - lo) / (hi - lo)
         crossings.append(traj.states[k] + frac * (traj.states[k + 1] - traj.states[k]))

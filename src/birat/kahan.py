@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
-from math import isnan
+from math import isfinite, isnan
 
 import numpy as np
 
@@ -27,24 +26,6 @@ from .quadvf import QuadraticVectorField, _as_state
 
 STEADY_STATE_TOL = 1e-10  # max-norm of f(x*) accepted at a steady state
 SINGULAR_TOL = 1e-12  # smallest LU pivot accepted, relative to the step matrix's max-norm
-
-
-@dataclass(frozen=True)
-class KahanStepConfig:
-    """Step size and solver policy for the Kahan map.
-
-    ``series_order`` switches the resolvent solve to a truncated geometric
-    series of that order (0 recovers the explicit Euler step).
-    """
-
-    h: float
-    series_order: int | None = None
-
-    def __post_init__(self):
-        if not np.isfinite(self.h) or self.h == 0.0:
-            raise ValueError("step size h must be finite and nonzero")
-        if self.series_order is not None and self.series_order < 0:
-            raise ValueError("series_order must be nonnegative")
 
 
 @lru_cache(maxsize=None)
@@ -100,48 +81,53 @@ def _solve_step_matrix(M, rhs, tol: float, what: str, h: float) -> np.ndarray:
     return z
 
 
-def _kahan_solve(vf: QuadraticVectorField, x, h: float, cfg: KahanStepConfig,
-                 what: str) -> np.ndarray:
-    """x + h (I - (h/2) f'(x))^{-1} f(x), the body of the forward and inverse steps.
+def _check_h(h: float) -> None:
+    if not isfinite(h) or h == 0.0:
+        raise ValueError("step size h must be finite and nonzero")
 
-    The inverse step is this map with -h anchored at the arrival point;
-    ``what`` names the step matrix in error messages, which quote ``cfg.h``.
+
+def _kahan_solve(vf: QuadraticVectorField, x, step_h: float, h: float,
+                 what: str) -> np.ndarray:
+    """x + k (I - (k/2) f'(x))^{-1} f(x) with k = ``step_h``, the body of both steps.
+
+    The inverse step is this map with k = -h anchored at the arrival point;
+    ``what`` names the step matrix in error messages, which quote ``h``.
     """
+    _check_h(h)
     x = _as_state(x, vf.dim)
     f, J = vf.evaluate_and_jacobian(x)
     # a 0-d array takes numpy's array path, cheaper than its Python-scalar one
-    M = _identity(vf.dim) - np.array(0.5 * h) * J
-    return x + np.array(h) * _solve_step_matrix(M, f, SINGULAR_TOL, what, cfg.h)
+    M = _identity(vf.dim) - np.array(0.5 * step_h) * J
+    return x + np.array(step_h) * _solve_step_matrix(M, f, SINGULAR_TOL, what, h)
 
 
-def kahan_step(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
-    """One step of the Kahan map; uses the series solver when configured."""
-    if cfg.series_order is not None:
-        return kahan_step_series(vf, x, cfg)
-    return _kahan_solve(vf, x, cfg.h, cfg, "step matrix")
+def kahan_step(vf: QuadraticVectorField, x, h: float) -> np.ndarray:
+    """One step of the Kahan map with step size h."""
+    return _kahan_solve(vf, x, h, h, "step matrix")
 
 
-def kahan_inverse_step(vf: QuadraticVectorField, xt, cfg: KahanStepConfig) -> np.ndarray:
-    """Exact inverse of :func:`kahan_step`, anchored at the arrival point xt."""
-    return _kahan_solve(vf, xt, -cfg.h, cfg, "inverse step matrix")
+def kahan_inverse_step(vf: QuadraticVectorField, xt, h: float) -> np.ndarray:
+    """Exact inverse of :func:`kahan_step` with step size h, anchored at the arrival point xt."""
+    return _kahan_solve(vf, xt, -h, h, "inverse step matrix")
 
 
-def kahan_step_series(vf: QuadraticVectorField, x, cfg: KahanStepConfig) -> np.ndarray:
-    """Kahan step with the resolvent replaced by sum_{m<=K} ((h/2) f'(x))^m f(x).
+def kahan_step_series(vf: QuadraticVectorField, x, h: float, order: int) -> np.ndarray:
+    """Kahan step with the resolvent replaced by sum_{m<=K} ((h/2) f'(x))^m f(x), K = ``order``.
 
     Convergent when the spectral radius of (h/2) f'(x) is below one; K = 0 is
     the explicit Euler step.
     """
-    if cfg.series_order is None:
-        raise ValueError("series_order must be set for the series step")
+    _check_h(h)
+    if order < 0:
+        raise ValueError("series_order must be nonnegative")
     x = _as_state(x, vf.dim)
     f, J = vf.evaluate_and_jacobian(x)
     acc = term = f
-    half_h = 0.5 * cfg.h
-    for _ in range(cfg.series_order):
+    half_h = 0.5 * h
+    for _ in range(order):
         term = half_h * (J @ term)
         acc = acc + term
-    return x + cfg.h * acc
+    return x + h * acc
 
 
 def rk_equivalence_residual(vf: QuadraticVectorField, x, xt, h: float) -> np.ndarray:

@@ -58,7 +58,6 @@ DEFAULT_STEP_TOL = 1e-9
 class LVParams:
     """Exact scheme parameters (a, b, c, d, e, A, B, C, D, E).
 
-    The complementary weights are derived: a_hat = 1 - a, A_hat = 1 - A.
     Floats are rejected; feed strings like "1/2" or "0.1" for exact values.
     """
 
@@ -82,14 +81,6 @@ class LVParams:
         upper = self.B + self.C + self.D + self.E
         if upper != 1:
             raise ConstraintViolation(f"B + C + D + E = {upper}, expected 1")
-
-    @property
-    def a_hat(self) -> Fraction:
-        return 1 - self.a
-
-    @property
-    def A_hat(self) -> Fraction:
-        return 1 - self.A
 
     @classmethod
     def from_list(cls, values) -> "LVParams":
@@ -283,9 +274,9 @@ def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP
     return (r, s) if order == "yt" else (s, r)
 
 
-def lv_inverse_step(p: LVParams, xt: float, yt: float, h: float, tol: float = DEFAULT_STEP_TOL):
+def lv_inverse_step(p: LVParams, xt: float, yt: float, h: float):
     """Inverse step: the inverted parameter set run with step -h."""
-    return lv_step(p.inverse, xt, yt, -h, tol)
+    return lv_step(p.inverse, xt, yt, -h)
 
 
 # -- symbolic certification -----------------------------------------------------------
@@ -307,14 +298,6 @@ class SymbolicCertificate:
     backward_discriminant: MultiPoly
     forward_root: MultiPoly | None
     backward_root: MultiPoly | None
-
-    @property
-    def p2(self) -> MultiPoly:
-        return self.forward[0]
-
-    @property
-    def backward_p2(self) -> MultiPoly:
-        return self.backward[0]
 
     def to_json_dict(self) -> dict:
         return {
@@ -431,15 +414,14 @@ def lv_hamiltonian(x: float, y: float) -> float:
     return math.log(x * y) - x - y
 
 
-def symplectic_residual(p: LVParams, x: float, y: float, h: float,
-                        tol: float = DEFAULT_STEP_TOL) -> float:
+def symplectic_residual(p: LVParams, x: float, y: float, h: float) -> float:
     """det(d(xt, yt)/d(x, y)) - (xt yt)/(x y) by implicit differentiation.
 
     Zero (to rounding) exactly for schemes preserving dx ^ dy / (x y).
     """
     if x == 0 or y == 0:
         raise DomainError("residual needs x y != 0")
-    xt, yt = lv_step(p, x, y, h, tol)
+    xt, yt = lv_step(p, x, y, h)
     vals = p.as_floats
     a, b, c, d, e, A, B, C, D, E = vals
 

@@ -22,8 +22,6 @@ from typing import TYPE_CHECKING, Callable
 from .errors import DenominatorVanishes, PoleError
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .quadvf import QuadraticVectorField
 
 
@@ -95,23 +93,6 @@ def enzyme_vf(p: EnzymeParams) -> QuadraticVectorField:
     return QuadraticVectorField.from_triplets(4, lin_triplets=lin, quad_triplets=quad)
 
 
-def nondimensionalize(p: EnzymeParams):
-    """Scaled parameters plus the factors that map solutions back.
-
-    Returns (params, time_scale, state_scales): t = time_scale * tau and
-    (s, c, p) = state_scales * (x, y, z); the enzyme level is e0 * (1 - y).
-    """
-    import numpy as np
-
-    mu = p.km1 / (p.k1 * p.s0)
-    nu = (p.km1 + p.k2) / (p.k1 * p.s0)
-    eps = p.e0 / p.s0
-    params = DimensionlessEnzymeParams(mu=mu, nu=nu, eps=eps)
-    time_scale = 1.0 / (p.k1 * p.e0)
-    state_scales = np.array([p.s0, p.e0, p.s0])
-    return params, time_scale, state_scales
-
-
 def enzyme_diml_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
     """Dimensionless field in (x, y, z); stores 1/eps explicitly.
 
@@ -142,23 +123,6 @@ def enzyme_reduced_vf(p: DimensionlessEnzymeParams) -> QuadraticVectorField:
 
     full = enzyme_diml_vf(p)
     return QuadraticVectorField(full.c0[:2], full.lin[:2, :2], full.quad[:2, :2, :2])
-
-
-def product_accumulate(y_values, h: float, p: DimensionlessEnzymeParams) -> np.ndarray:
-    """Trapezoidal reconstruction of z from sampled y values.
-
-    z_n = (h/2)(nu - mu) * sum_{i<n} (y_i + y_{i+1}), with z_0 = 0; returns an
-    array aligned with ``y_values``.
-    """
-    import numpy as np
-
-    y = np.asarray(y_values, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y_values must be one-dimensional")
-    z = np.zeros_like(y)
-    if y.size > 1:
-        z[1:] = 0.5 * h * (p.nu - p.mu) * np.cumsum(y[:-1] + y[1:])
-    return z
 
 
 def michaelis_menten(x: float, nu: float) -> float:
@@ -325,10 +289,8 @@ __all__ = [
     "DimensionlessEnzymeParams",
     "SchnakenbergParams",
     "enzyme_vf",
-    "nondimensionalize",
     "enzyme_diml_vf",
     "enzyme_reduced_vf",
-    "product_accumulate",
     "michaelis_menten",
     "lv_vf",
     "schnakenberg_vf",

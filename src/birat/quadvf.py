@@ -41,10 +41,6 @@ class QuadraticVectorField:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def zero(cls, dim: int) -> "QuadraticVectorField":
-        return cls(np.zeros(dim), np.zeros((dim, dim)), np.zeros((dim, dim, dim)))
-
-    @classmethod
     def from_triplets(cls, dim, c0=None, lin_triplets=(), quad_triplets=()):
         """Build a field from monomial contributions.
 

@@ -27,7 +27,7 @@ from birat.geomcheck import (
     roundtrip_error,
     transversal_crossings,
 )
-from birat.kahan import KahanStepConfig, kahan_inverse_step, kahan_step, kahan_step_series
+from birat.kahan import kahan_inverse_step, kahan_step, kahan_step_series
 from birat.lvfamily import (
     BIRATIONAL,
     CASE_LABELS,
@@ -74,13 +74,12 @@ def transient_run():
     """Shared run for criteria 1 and 2: enzyme3 defaults, h=1e-3, 1e5 steps."""
     p = DimensionlessEnzymeParams(mu=0.5, nu=0.6, eps=1e-2)
     vf = enzyme_diml_vf(p)
-    cfg = KahanStepConfig(h=H_TRANSIENT)
     states = np.empty((N_TRANSIENT + 1, 3))
     states[0] = (1.0, 0.0, 0.0)
     state = states[0]
     start = time.perf_counter()
     for k in range(N_TRANSIENT):
-        state = kahan_step(vf, state, cfg)
+        state = kahan_step(vf, state, H_TRANSIENT)
         states[k + 1] = state
     elapsed = time.perf_counter() - start
     return p, vf, states, elapsed
@@ -151,13 +150,13 @@ def test_acceptance_03_multipliers_on_unit_circle():
         mods = np.abs(np.linalg.eigvals(phi))
         worst_mod = max(worst_mod, float(np.abs(mods - 1.0).max()))
 
-        cfg, eps = KahanStepConfig(h=h), 1e-6
+        eps = 1e-6
         cols = []
         for j in range(2):
             dx = np.zeros(2)
             dx[j] = eps
-            cols.append((kahan_step(vf, xstar + dx, cfg)
-                         - kahan_step(vf, xstar - dx, cfg)) / (2 * eps))
+            cols.append((kahan_step(vf, xstar + dx, h)
+                         - kahan_step(vf, xstar - dx, h)) / (2 * eps))
         worst_fd = max(worst_fd, multiplier_agreement(np.column_stack(cols), vf, xstar, h))
     ok = worst_dev < 1e-8 and worst_fd < 1e-8 and worst_mod < 1e-10
     _report(3, "fixed-point multipliers match (1 + h l/2)/(1 - h l/2), modulus 1", ok,
@@ -233,10 +232,9 @@ def test_acceptance_07_roundtrips():
         worst_lv = max(worst_lv, err)
 
     vf = enzyme_diml_vf(DimensionlessEnzymeParams(0.5, 0.6, 1e-2))
-    cfg = KahanStepConfig(h=1e-3)
     pts3 = np.random.default_rng(2025).random((50, 3))
-    err_enzyme = roundtrip_error(lambda q: kahan_step(vf, q, cfg),
-                                 lambda q: kahan_inverse_step(vf, q, cfg), pts3)
+    err_enzyme = roundtrip_error(lambda q: kahan_step(vf, q, 1e-3),
+                                 lambda q: kahan_inverse_step(vf, q, 1e-3), pts3)
 
     sp = SchnakenbergParams(0.1, 0.5)
     err_schnak = roundtrip_error(
@@ -253,10 +251,9 @@ def test_acceptance_08_convergence_orders():
     vf = lv_vf()
     hs = [0.02, 0.01, 0.005, 0.0025]
     slope2 = convergence_order(
-        lambda s, h: kahan_step(vf, s, KahanStepConfig(h=h)), [2.0, 0.5], 1.0, hs)
+        lambda s, h: kahan_step(vf, s, h), [2.0, 0.5], 1.0, hs)
     slope1 = convergence_order(
-        lambda s, h: kahan_step_series(vf, s, KahanStepConfig(h=h, series_order=0)),
-        [2.0, 0.5], 1.0, hs)
+        lambda s, h: kahan_step_series(vf, s, h, 0), [2.0, 0.5], 1.0, hs)
     ok = 1.8 <= slope2 <= 2.2 and 0.8 <= slope1 <= 1.2
     _report(8, "polarized map slope in [1.8, 2.2], Euler control in [0.8, 1.2]", ok,
             f"slopes {slope2:.3f} / {slope1:.3f}")
@@ -300,7 +297,7 @@ def test_acceptance_10_limit_cycle_returns():
         lambda s: np.array(schnakenberg_step(p, s[0], s[1], h)),
         [1.1 * xs, ys], 60_000)
     traj = Trajectory(states, h)
-    crossings = transversal_crossings(traj, 0, xs, increasing=True)
+    crossings = transversal_crossings(traj, 0, xs)
     returns = [float(state[1]) for state in crossings]
     elapsed = time.perf_counter() - start
     rel_changes = [abs(returns[k + 1] - returns[k]) / abs(returns[k])

@@ -19,7 +19,7 @@ import pytest
 from birat import cli, verify
 from birat.cli import main
 from birat.errors import SingularStepMatrix
-from birat.kahan import KahanStepConfig, kahan_step_series
+from birat.kahan import kahan_step_series
 from birat.lvfamily import MICKENS_SCHEME, lv_step
 from birat.models import MODELS, lv_vf
 from birat.ratpoly import MAX_DECIMAL_EXPONENT
@@ -131,10 +131,17 @@ class TestIntegrate:
         assert [row[0] for row in json.loads(out)["rows"]] == [k * -0.01 for k in range(3)]
 
     def test_series_method(self):
+        # the CLI binds the series step itself; its rows are that step's bits
         code, out, _ = run_cli(["integrate", "--model", "enzyme4", "--method",
                                 "kahan-series:3", "--h", "0.001", "--steps", "2"])
         assert code == 0
         assert out.splitlines()[0] == "t,s,e,c,p"
+        spec = MODELS["enzyme4"]
+        vf, x = spec.field(spec.defaults), spec.default_x0(spec.defaults)
+        for k, row in enumerate(out.splitlines()[1:]):
+            if k:
+                x = kahan_step_series(vf, x, 0.001, 3)
+            assert row == ",".join("%.17g" % v for v in [k * 0.001, *x])
 
     @pytest.mark.parametrize("model, h", [("enzyme3", 1e-3), ("enzyme4", 1e-2)])
     def test_euler_matches_series_order_zero(self, model, h):
@@ -143,12 +150,12 @@ class TestIntegrate:
                                 "--h", repr(h), "--steps", str(steps)])
         assert code == 0
         spec = MODELS[model]
-        vf, cfg = spec.field(spec.defaults), KahanStepConfig(h, series_order=0)
+        vf = spec.field(spec.defaults)
         x = np.asarray(spec.default_x0(spec.defaults), dtype=float)
         expected = []
         for k in range(steps + 1):
             if k:
-                x = kahan_step_series(vf, x, cfg)
+                x = kahan_step_series(vf, x, h, 0)
             expected.append(",".join("%.17g" % v for v in [k * h, *x.tolist()]))
         assert out.splitlines()[1:] == expected
 
@@ -410,11 +417,11 @@ class TestStreamedOutput:
 
     @staticmethod
     def _failing_states():
-        vf, cfg = lv_vf(), KahanStepConfig(h=0.9, series_order=0)
+        vf = lv_vf()
         states = [[8.0, 0.01]]
         with np.errstate(over="ignore", invalid="ignore"):
             while all(map(math.isfinite, states[-1])):
-                states.append(kahan_step_series(vf, states[-1], cfg).tolist())
+                states.append(kahan_step_series(vf, states[-1], 0.9, 0).tolist())
         return states[:-1]
 
     @pytest.mark.parametrize("dest", ["stdout", "file"])

@@ -21,7 +21,7 @@ from birat.geomcheck import (
     roundtrip_error,
     transversal_crossings,
 )
-from birat.kahan import KahanStepConfig, kahan_step
+from birat.kahan import kahan_step
 from birat.lvfamily import KAHAN_SCHEME, lv_hamiltonian, lv_step
 from birat.models import lv_vf
 
@@ -181,11 +181,10 @@ class TestRoundtripError:
 
     def test_kahan_pair(self):
         vf = lv_vf()
-        cfg = KahanStepConfig(h=0.05)
         pts = 0.2 + np.random.default_rng(4).random((20, 2))
         err = roundtrip_error(
-            lambda p: kahan_step(vf, p, cfg),
-            lambda p: kahan_step(vf, p, KahanStepConfig(h=-0.05)), pts)
+            lambda p: kahan_step(vf, p, 0.05),
+            lambda p: kahan_step(vf, p, -0.05), pts)
         assert err < 1e-11
 
     def test_failure_reports_point(self):
@@ -221,7 +220,7 @@ class TestConvergenceOrder:
 
         def family(state, h):
             calls.append(h)
-            return kahan_step(vf, state, KahanStepConfig(h=h))
+            return kahan_step(vf, state, h)
 
         slope = convergence_order(family, [2.0, 0.5], 1.0, hs)
         assert len(calls) == (50 + 100 + 200 + 400) + 25600
@@ -229,7 +228,7 @@ class TestConvergenceOrder:
         def run(h, n):
             x = np.array([2.0, 0.5])
             for _ in range(n):
-                x = kahan_step(vf, x, KahanStepConfig(h=h))
+                x = kahan_step(vf, x, h)
             return x
 
         ref = run(1.0 / 25600, 25600)
@@ -319,21 +318,18 @@ class TestOrbitVerdict:
 class TestTransversalCrossings:
     def test_counts_and_interpolates(self):
         # Start just past 0 and stop past 10*pi so all five upward zeros of
-        # sin (at 2*pi*k) and five downward zeros (at odd multiples of pi)
-        # fall strictly inside the sampled range.
+        # sin (at 2*pi*k) fall strictly inside the sampled range.
         t = np.arange(0.005, 32.0, 0.01)
         states = np.column_stack([np.sin(t), np.cos(t)])
         traj = Trajectory(states, 0.01)
-        ups = transversal_crossings(traj, 0, 0.0, increasing=True)
-        downs = transversal_crossings(traj, 0, 0.0, increasing=False)
+        ups = transversal_crossings(traj, 0, 0.0)
         assert len(ups) == 5
-        assert len(downs) == 5
         for state in ups:
             assert abs(state[0]) < 1e-12  # the section coordinate is solved exactly
             assert state[1] > 0.99  # sin rises through 0 where cos is near 1
 
     def test_direction_filter(self):
+        # three crossings of 0.5, of which the middle one is downward
         states = np.array([[0.0], [1.0], [0.0], [1.0]])
         traj = Trajectory(states, 1.0)
-        assert len(transversal_crossings(traj, 0, 0.5, increasing=True)) == 2
-        assert len(transversal_crossings(traj, 0, 0.5, increasing=False)) == 1
+        assert len(transversal_crossings(traj, 0, 0.5)) == 2

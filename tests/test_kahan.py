@@ -18,7 +18,6 @@ from birat.errors import (
 from birat import kahan
 from birat.geomcheck import iterate_map
 from birat.kahan import (
-    KahanStepConfig,
     kahan_inverse_step,
     kahan_step,
     kahan_step_series,
@@ -67,70 +66,75 @@ def dense_fields_states_steps(draw, max_dim=4):
 
 class TestConfig:
     def test_rejects_zero_h(self):
-        with pytest.raises(ValueError):
-            KahanStepConfig(h=0.0)
+        series = lambda vf, x, h: kahan_step_series(vf, x, h, 1)  # noqa: E731
+        for step in (kahan_step, kahan_inverse_step, series):
+            for h in (0.0, -0.0, float("inf"), float("nan")):
+                with pytest.raises(ValueError, match="^step size h must be finite and nonzero$"):
+                    step(logistic_vf(), [0.5], h)
 
     def test_rejects_negative_series_order(self):
-        with pytest.raises(ValueError):
-            KahanStepConfig(h=0.1, series_order=-1)
+        with pytest.raises(ValueError, match="^series_order must be nonnegative$"):
+            kahan_step_series(logistic_vf(), [0.5], 0.1, -1)
 
 
 class TestStep:
     def test_logistic_hand_value(self):
         # At x = 1/2 the Jacobian vanishes, so the update is x + h f(x).
-        out = kahan_step(logistic_vf(), [0.5], KahanStepConfig(h=0.1))
+        out = kahan_step(logistic_vf(), [0.5], 0.1)
         assert out == pytest.approx([0.525], abs=1e-15)
 
     def test_logistic_inverse_recovers(self):
-        out = kahan_inverse_step(logistic_vf(), [0.525], KahanStepConfig(h=0.1))
+        out = kahan_inverse_step(logistic_vf(), [0.525], 0.1)
         assert out == pytest.approx([0.5], abs=1e-12)
 
     def test_implicit_polarized_relation(self):
         # The defining relation: (xt - x)/h equals the polarized field at (x, xt).
         rng = np.random.default_rng(2)
         for vf in (lv_vf(), enzyme_diml_vf(ENZ3)):
-            cfg = KahanStepConfig(h=0.05)
             for _ in range(10):
                 x = rng.uniform(0.1, 1.5, vf.dim)
-                xt = kahan_step(vf, x, cfg)
-                residual = (xt - x) / cfg.h - vf.polarized_rhs(x, xt)
+                xt = kahan_step(vf, x, 0.05)
+                residual = (xt - x) / 0.05 - vf.polarized_rhs(x, xt)
                 assert np.abs(residual).max() < 1e-12
 
     def test_forward_inverse_roundtrip(self):
         rng = np.random.default_rng(3)
         for vf in (lv_vf(), enzyme_diml_vf(ENZ3)):
             for h in (1e-3, 0.05, -0.05):
-                cfg = KahanStepConfig(h=h)
                 for _ in range(10):
                     x = rng.uniform(0.1, 1.5, vf.dim)
-                    back = kahan_inverse_step(vf, kahan_step(vf, x, cfg), cfg)
+                    back = kahan_inverse_step(vf, kahan_step(vf, x, h), h)
                     assert np.abs(back - x).max() < 1e-11
 
     @given(dense_fields_states_steps())
     def test_roundtrip_random_dense_fields(self, case):
         vf, x, h = case
-        cfg = KahanStepConfig(h=h)
-        back = kahan_inverse_step(vf, kahan_step(vf, x, cfg), cfg)
+        back = kahan_inverse_step(vf, kahan_step(vf, x, h), h)
         assert np.abs(back - x).max() <= 1e-14
 
     def test_inverse_is_backward_step(self):
         # Inverting equals stepping with -h.
         vf = lv_vf()
         x = np.array([1.3, 0.7])
-        inv = kahan_inverse_step(vf, x, KahanStepConfig(h=0.1))
-        neg = kahan_step(vf, x, KahanStepConfig(h=-0.1))
+        inv = kahan_inverse_step(vf, x, 0.1)
+        neg = kahan_step(vf, x, -0.1)
         assert inv == pytest.approx(neg, abs=1e-14)
 
     def test_singular_step_matrix(self):
         with pytest.raises(SingularStepMatrix):
-            kahan_step(pure_linear_vf(), [1.0], KahanStepConfig(h=2.0))
+            kahan_step(pure_linear_vf(), [1.0], 2.0)
 
     def test_singular_messages_name_the_step(self):
         with pytest.raises(SingularStepMatrix, match=r"^step matrix at h=2\.0: pivot"):
-            kahan_step(pure_linear_vf(), [1.0], KahanStepConfig(h=2.0))
+            kahan_step(pure_linear_vf(), [1.0], 2.0)
         with pytest.raises(SingularStepMatrix,
                            match=r"^inverse step matrix at h=-2\.0: pivot"):
-            kahan_inverse_step(pure_linear_vf(), [1.0], KahanStepConfig(h=-2.0))
+            kahan_inverse_step(pure_linear_vf(), [1.0], -2.0)
+        # the text quotes the h passed, not the -h the inverse step solves with
+        decay = QuadraticVectorField.from_triplets(1, lin_triplets=[(0, 0, -1.0)])
+        with pytest.raises(SingularStepMatrix,
+                           match=r"^inverse step matrix at h=2\.0: pivot"):
+            kahan_inverse_step(decay, [1.0], 2.0)
 
     def test_singular_step_matrix_dim40(self):
         dim = 40
@@ -138,34 +142,32 @@ class TestStep:
             dim, lin_triplets=[(i, i, 1.0) for i in range(dim)]
         )
         with pytest.raises(SingularStepMatrix):
-            kahan_step(vf, np.ones(dim), KahanStepConfig(h=2.0))
+            kahan_step(vf, np.ones(dim), 2.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            kahan_step(lv_vf(), [1.0, 2.0, 3.0], KahanStepConfig(h=0.1))
+            kahan_step(lv_vf(), [1.0, 2.0, 3.0], 0.1)
 
 
 class TestIterate:
     def test_shape_and_initial_row(self):
-        vf, cfg = lv_vf(), KahanStepConfig(h=0.01)
-        out = iterate_map(lambda s: kahan_step(vf, s, cfg), [2.0, 0.5], 7)
+        vf = lv_vf()
+        out = iterate_map(lambda s: kahan_step(vf, s, 0.01), [2.0, 0.5], 7)
         assert out.shape == (8, 2)
         assert out[0] == pytest.approx([2.0, 0.5])
 
     def test_matches_repeated_steps(self):
-        cfg = KahanStepConfig(h=0.02)
         vf = lv_vf()
-        out = iterate_map(lambda s: kahan_step(vf, s, cfg), [2.0, 0.5], 3)
+        out = iterate_map(lambda s: kahan_step(vf, s, 0.02), [2.0, 0.5], 3)
         x = np.array([2.0, 0.5])
         for k in range(3):
-            x = kahan_step(lv_vf(), x, cfg)
+            x = kahan_step(lv_vf(), x, 0.02)
             assert out[k + 1] == pytest.approx(x, rel=0, abs=0)
 
     def test_linear_first_integrals_exact(self):
         # w f = 0 implies w x is preserved to rounding along the orbit.
         vf = enzyme_vf(EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01))
-        cfg = KahanStepConfig(h=0.01)
-        states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.01, 0.0, 0.0], 1000)
+        states = iterate_map(lambda s: kahan_step(vf, s, 0.01), [1.0, 0.01, 0.0, 0.0], 1000)
         for w in (np.array([0.0, 1.0, 1.0, 0.0]), np.array([1.0, 0.0, 1.0, 1.0])):
             vals = states @ w
             assert np.abs(vals - vals[0]).max() < 1e-13
@@ -175,24 +177,17 @@ class TestSeries:
     def test_order_zero_is_euler(self):
         vf = lv_vf()
         x = np.array([2.0, 0.5])
-        out = kahan_step_series(vf, x, KahanStepConfig(h=0.1, series_order=0))
+        out = kahan_step_series(vf, x, 0.1, 0)
         assert out == pytest.approx(x + 0.1 * vf.evaluate(x), abs=1e-15)
-
-    def test_step_dispatches_on_series_order(self):
-        vf = lv_vf()
-        x = np.array([2.0, 0.5])
-        cfg = KahanStepConfig(h=0.1, series_order=2)
-        assert kahan_step(vf, x, cfg) == pytest.approx(
-            kahan_step_series(vf, x, cfg), rel=0, abs=0)
 
     def test_monotone_convergence_diagonal_linear(self):
         vf = QuadraticVectorField.from_triplets(
             2, lin_triplets=[(0, 0, -1.0), (1, 1, -1.0)]
         )
         x = np.array([1.0, 2.0])
-        exact = kahan_step(vf, x, KahanStepConfig(h=0.5))
+        exact = kahan_step(vf, x, 0.5)
         errs = [
-            np.abs(kahan_step_series(vf, x, KahanStepConfig(h=0.5, series_order=k))
+            np.abs(kahan_step_series(vf, x, 0.5, k)
                    - exact).max()
             for k in range(8)
         ]
@@ -205,17 +200,17 @@ class TestSeries:
         # solver accuracy.  Frozen from a direct comparison.
         vf = enzyme_diml_vf(ENZ3)
         x = [1.0, 0.0, 0.0]
-        exact = kahan_step(vf, x, KahanStepConfig(h=1e-3))
+        exact = kahan_step(vf, x, 1e-3)
         err3 = np.abs(
-            kahan_step_series(vf, x, KahanStepConfig(h=1e-3, series_order=3)) - exact
+            kahan_step_series(vf, x, 1e-3, 3) - exact
         ).max()
         assert 1e-6 < err3 < 1e-5
         err4 = np.abs(
-            kahan_step_series(vf, x, KahanStepConfig(h=1e-3, series_order=4)) - exact
+            kahan_step_series(vf, x, 1e-3, 4) - exact
         ).max()
         assert 0.05 < err4 / err3 < 0.12
         err7 = np.abs(
-            kahan_step_series(vf, x, KahanStepConfig(h=1e-3, series_order=7)) - exact
+            kahan_step_series(vf, x, 1e-3, 7) - exact
         ).max()
         assert err7 < 1e-9
 
@@ -224,8 +219,8 @@ class TestSeries:
         # so K = 3 already reproduces the exact solve far below 1e-9.
         vf = enzyme_vf(EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01))
         x = [1.0, 0.01, 0.0, 0.0]
-        exact = kahan_step(vf, x, KahanStepConfig(h=1e-3))
-        ser = kahan_step_series(vf, x, KahanStepConfig(h=1e-3, series_order=3))
+        exact = kahan_step(vf, x, 1e-3)
+        ser = kahan_step_series(vf, x, 1e-3, 3)
         assert np.abs(ser - exact).max() < 1e-9
 
 
@@ -235,7 +230,7 @@ class TestRkEquivalence:
         vf = lv_vf()
         for _ in range(10):
             x = rng.uniform(0.2, 2.0, 2)
-            xt = kahan_step(vf, x, KahanStepConfig(h=0.1))
+            xt = kahan_step(vf, x, 0.1)
             assert np.abs(rk_equivalence_residual(vf, x, xt, 0.1)).max() < 1e-12
 
     def test_residual_detects_other_maps(self):
@@ -288,7 +283,7 @@ class TestLocalOrder:
                 lambda t, s: vf.evaluate(s), [0, h], [2.0, 0.5],
                 method="DOP853", rtol=1e-13, atol=1e-15,
             ).y[:, -1]
-            step = kahan_step(vf, [2.0, 0.5], KahanStepConfig(h=h))
+            step = kahan_step(vf, [2.0, 0.5], h)
             return np.abs(step - ref).max()
 
         ratio = np.log2(local_err(0.02) / local_err(0.01))
@@ -338,9 +333,8 @@ class TestLapackRoutines:
         import scipy.linalg as sla
 
         vf = enzyme_diml_vf(ENZ3)
-        cfg = KahanStepConfig(h=0.1)
         x0 = [1.0, 0.2, 0.05]
-        direct = iterate_map(lambda s: kahan_step(vf, s, cfg), x0, 50)
+        direct = iterate_map(lambda s: kahan_step(vf, s, 0.1), x0, 50)
 
         failed = []
 
@@ -353,7 +347,7 @@ class TestLapackRoutines:
         kahan._dense_lu_routines.cache_clear()
         try:
             routines = kahan._dense_lu_routines()
-            fallback = iterate_map(lambda s: kahan_step(vf, s, cfg), x0, 50)
+            fallback = iterate_map(lambda s: kahan_step(vf, s, 0.1), x0, 50)
         finally:
             kahan._dense_lu_routines.cache_clear()
         expected = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from birat.errors import (
@@ -18,7 +18,7 @@ from birat.errors import (
     NotBirational,
 )
 from birat.geomcheck import iterate_map
-from birat.kahan import KahanStepConfig, kahan_step
+from birat.kahan import kahan_step
 from birat.lvfamily import (
     BIRATIONAL,
     CASE_LABELS,
@@ -64,15 +64,36 @@ QUARTERS = LVParams.from_list(["1/4"] * 10)
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=5)
 
 
-def constrained_params(draw_tuple):
-    a, b, c, d, A, B, C, D = draw_tuple
-    return LVParams(a, b, c, d, 1 - b - c - d, A, B, C, D, 1 - B - C - D)
+def _group(weight):
+    """Three weights of b..e or B..E, and the index (0-3) of the fourth, which closes the sum."""
+    return st.tuples(weight, weight, weight, st.integers(0, 3))
 
 
-constrained = st.tuples(*[small_fractions] * 8).map(constrained_params)
+def _close(w1, w2, w3, k):
+    weights = [w1, w2, w3]
+    return [*weights[:k], 1 - sum(weights), *weights[k:]]
+
+
+def constrained_params(a, A, lower, upper):
+    return LVParams(a, *_close(*lower), A, *_close(*upper))
+
+
+constrained = st.builds(constrained_params, small_fractions, small_fractions,
+                        _group(small_fractions), _group(small_fractions))
+zero_heavy = st.one_of(st.just(Fraction(0)), small_fractions)
+
+
+@st.composite
+def _sparse_constrained(draw):
+    # The upper group is often a copy of the lower one, which draws the tie
+    # D = d of symplectic II.
+    lower = draw(_group(zero_heavy))
+    upper = draw(st.one_of(st.just(lower), _group(zero_heavy)))
+    return constrained_params(draw(zero_heavy), draw(zero_heavy), lower, upper)
+
+
 # constrained sets whose weights are often zero, so that every template is reached
-sparse_constrained = st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8) \
-    .map(constrained_params)
+sparse_constrained = _sparse_constrained()
 
 
 class TestParams:
@@ -98,10 +119,6 @@ class TestParams:
         assert p.a == Fraction(1, 3)
         assert isinstance(p.b, Fraction)
         assert p.to_list()[4] == Fraction(0)
-
-    def test_hat_complements(self):
-        assert KAHAN_SCHEME.a_hat == Fraction(1, 2)
-        assert MICKENS_SCHEME.a_hat == Fraction(-1)
 
 
 class TestNamedSchemes:
@@ -144,13 +161,23 @@ def weight_grid():
     groups = set()
     for free in itertools.product((Fraction(0), Fraction(1, 2), Fraction(1)), repeat=3):
         for slot in range(4):
-            vals = list(free)
-            vals.insert(slot, 1 - sum(free))
-            groups.add(tuple(vals))
+            groups.add(tuple(_close(*free, slot)))
     return sorted(groups)
 
 
 class TestTemplateMembership:
+    def test_zero_heavy_draws_reach_every_template(self):
+        seen = set()
+
+        @seed(0)
+        @settings(max_examples=250, database=None, deadline=None)
+        @given(sparse_constrained)
+        def collect(p):
+            seen.update(classify_birational(p), classify_symplectic(p))
+
+        collect()
+        assert seen == set(CASE_LABELS) | set(SYMPLECTIC_LABELS)
+
     def test_matches_fraction_comparisons(self):
         groups = weight_grid()
         for (b, c, d, e), (B, C, D, E) in itertools.product(groups, groups):
@@ -193,7 +220,7 @@ class TestStep:
         for _ in range(20):
             x, y = rng.uniform(0.2, 2.0, 2)
             xt, yt = lv_step(KAHAN_SCHEME, x, y, 0.1)
-            ref = kahan_step(vf, [x, y], KahanStepConfig(h=0.1))
+            ref = kahan_step(vf, [x, y], 0.1)
             assert (xt, yt) == pytest.approx(tuple(ref), abs=1e-12)
 
     def test_mickens_frozen_value(self):
@@ -287,7 +314,7 @@ class TestCertificates:
         cert = symbolic_certificate(p)
         expected = -(H * ((p.c * p.D - p.d * p.C) * (H * X)
                           + p.c * (p.A * H - ONE - H)))
-        assert cert.p2 == expected
+        assert cert.forward[0] == expected
 
     @settings(max_examples=30)
     @given(constrained)
@@ -296,18 +323,18 @@ class TestCertificates:
         cert = symbolic_certificate(p)
         lead = (p.B * (1 - p.c - p.d) - p.b * (1 - p.C - p.D)) * (H * X) \
             + p.b * (p.A * H - ONE)
-        assert cert.backward_p2 == H * lead
+        assert cert.backward[0] == H * lead
 
     def test_kahan_forward_leading_term_vanishes(self):
         cert = symbolic_certificate(KAHAN_SCHEME)
-        assert cert.p2.is_zero
-        assert cert.backward_p2.is_zero
+        assert cert.forward[0].is_zero
+        assert cert.backward[0].is_zero
 
     def test_blend_d1_backward_quadratic(self):
         cert = symbolic_certificate(case_iv_blend(Fraction(1)))
         assert cert.verdict == BIRATIONAL
-        assert cert.p2.is_zero
-        assert cert.backward_p2.render() == "-3/2*x*h^2 + 3/4*h^2 - 3/2*h"
+        assert cert.forward[0].is_zero
+        assert cert.backward[0].render() == "-3/2*x*h^2 + 3/4*h^2 - 3/2*h"
         # Quadratic backward branch: certification rests on the discriminant
         # being a polynomial square.
         root = cert.backward_root
@@ -736,16 +763,15 @@ class TestEliminationOrder:
                 p = random_case_params(label, rng)
                 cert = symbolic_certificate(p)
                 assert cert.verdict == BIRATIONAL
-                assert p.elimination_order == ("yt" if cert.p2.is_zero else "xt"), label
+                assert p.elimination_order == ("yt" if cert.forward[0].is_zero else "xt"), label
                 if p.elimination_order == "xt":
                     assert cert.forward_root is not None
                 # the inverse scheme's p2 is the backward quadratic's, h negated
                 assert p.inverse.elimination_order == (
-                    "yt" if cert.backward_p2.is_zero else "xt"), label
+                    "yt" if cert.backward[0].is_zero else "xt"), label
 
     @settings(max_examples=200, deadline=None)
-    @given(st.tuples(*[st.one_of(st.just(Fraction(0)), small_fractions)] * 8)
-           .map(constrained_params))
+    @given(sparse_constrained)
     def test_certified_sets_are_template_members_with_an_order(self, p):
         # the certificate agrees with the template table, and no certified
         # set has both p2 and q2 nonzero, in either direction.  (A set outside

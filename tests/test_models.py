@@ -1,13 +1,11 @@
 """Built-in reaction and predator-prey models."""
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from birat.errors import DenominatorVanishes, PoleError
 from birat.geomcheck import iterate_map
-from birat.kahan import KahanStepConfig, kahan_step
+from birat.kahan import kahan_step
 from birat.models import (
     MODELS,
     DimensionlessEnzymeParams,
@@ -20,8 +18,6 @@ from birat.models import (
     lv_vf,
     michaelis_menten,
     model_vector_field,
-    nondimensionalize,
-    product_accumulate,
     schnakenberg_inverse_step,
     schnakenberg_steady_state,
     schnakenberg_step,
@@ -67,20 +63,14 @@ class TestEnzymeFourSpecies:
 
 
 class TestNondimensionalize:
-    def test_parameter_map(self):
-        p = EnzymeParams(k1=2.0, km1=3.0, k2=1.8, s0=4.0, e0=0.05)
-        diml, time_scale, scales = nondimensionalize(p)
-        assert diml.mu == pytest.approx(3.0 / 8.0)
-        assert diml.nu == pytest.approx(4.8 / 8.0)
-        assert diml.eps == pytest.approx(0.0125)
-        assert time_scale == pytest.approx(1.0 / (2.0 * 0.05))
-        assert scales == pytest.approx([4.0, 0.05, 4.0])
-
     def test_reduction_consistent_with_mass_action(self):
         # On the invariant slice e = e0 - c the scaled 4-species field must
-        # equal the reduced (x, y, z) field after the time rescaling.
+        # equal the reduced (x, y, z) field after the time rescaling
+        # t = tau / (k1 e0), with s = s0 x, c = e0 y, p = s0 z.
         p = EnzymeParams(k1=2.0, km1=3.0, k2=1.8, s0=4.0, e0=0.05)
-        diml, time_scale, scales = nondimensionalize(p)
+        diml = DimensionlessEnzymeParams(mu=p.km1 / (p.k1 * p.s0),
+                                         nu=(p.km1 + p.k2) / (p.k1 * p.s0), eps=p.e0 / p.s0)
+        time_scale = 1.0 / (p.k1 * p.e0)
         vf4 = enzyme_vf(p)
         vf3 = enzyme_diml_vf(diml)
         rng = np.random.default_rng(9)
@@ -93,22 +83,14 @@ class TestNondimensionalize:
 
 
 class TestProductAccumulate:
-    def test_starts_at_zero(self):
-        z = product_accumulate(np.array([0.3, 0.4]), 0.1, ENZ3)
-        assert z[0] == 0.0
-
-    @given(st.floats(0.01, 1.0), st.integers(2, 30))
-    def test_constant_y(self, y, n):
-        z = product_accumulate(np.full(n, y), 0.5, ENZ3)
-        expected = (ENZ3.nu - ENZ3.mu) * 0.5 * y * np.arange(n)
-        assert z == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
     def test_matches_map_z_component(self):
-        # The z update is exactly the trapezoid rule on the y samples, so the
-        # quadrature route and the map route must agree to rounding.
-        vf, cfg = enzyme_diml_vf(ENZ3), KahanStepConfig(h=1e-3)
-        states = iterate_map(lambda s: kahan_step(vf, s, cfg), [1.0, 0.0, 0.0], 2000)
-        z = product_accumulate(states[:, 1], 1e-3, ENZ3)
+        # The z update is exactly the trapezoid rule on the y samples,
+        # z_n = (h/2)(nu - mu) sum_{i<n} (y_i + y_{i+1}), so the quadrature
+        # route and the map route must agree to rounding.
+        vf, h = enzyme_diml_vf(ENZ3), 1e-3
+        states = iterate_map(lambda s: kahan_step(vf, s, h), [1.0, 0.0, 0.0], 2000)
+        y = states[:, 1]
+        z = np.concatenate([[0.0], 0.5 * h * (ENZ3.nu - ENZ3.mu) * np.cumsum(y[:-1] + y[1:])])
         assert np.abs(z - states[:, 2]).max() < 1e-12
 
 

@@ -55,7 +55,7 @@ class TestEvaluate:
         assert vf.evaluate([1.0, 1.0]) == pytest.approx([0.0, 0.0])
 
     def test_zero_field(self):
-        vf = QuadraticVectorField.zero(3)
+        vf = QuadraticVectorField.from_triplets(3)
         assert vf.evaluate([1.0, 2.0, 3.0]) == pytest.approx([0.0, 0.0, 0.0])
         assert vf.jacobian([1.0, 2.0, 3.0]) == pytest.approx(np.zeros((3, 3)))
 
