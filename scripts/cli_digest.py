@@ -30,6 +30,11 @@ exponents beyond the CLI's bound in `--h`, `--x0`, `--tol`, enzyme3 and
 lv-family `--params`, `classify` and a config-file string, and a tiny
 `1e-400` in `--x0`, which still parses to 0.  A config-file run reads its
 JSON from standard input, and its line ends with `< <the JSON>`.
+
+After the CLI runs come the three example scripts of the checkout's
+`scripts/`, each run at its default arguments in a fresh temporary directory.
+Their lines hold the exit code, the sha256 of stdout and of stderr, the
+script's path and `name=sha256` for every CSV file it wrote, by name.
 """
 import argparse
 import hashlib
@@ -37,6 +42,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
@@ -131,6 +137,7 @@ EXPONENTS = (
      "--steps", "2"],
 )
 EXPONENT_CONFIG = {"model": "lv", "method": "kahan", "h": "1e-3000000", "steps": 2}
+EXAMPLES = ("enzyme_transient", "lv_scheme_comparison", "schnakenberg_limit_cycle")
 
 
 def runs() -> list[tuple[list[str], str | None]]:
@@ -158,23 +165,35 @@ def runs() -> list[tuple[list[str], str | None]]:
             + [(from_stdin, json.dumps(EXPONENT_CONFIG))])
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout whose src/ is run (default: this script's checkout)")
     args = ap.parse_args(argv)
-    src = args.root.resolve() / "src"
+    root = args.root.resolve()
+    src = root / "src"
     if not (src / "birat" / "__init__.py").is_file():
         print(f"cli_digest: no birat sources under {src}", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONPATH=str(src))
     for run, stdin in runs():
         proc = subprocess.run([sys.executable, "-m", "birat.cli", *run],
-                              capture_output=True, env=env, cwd=args.root,
+                              capture_output=True, env=env, cwd=root,
                               input=None if stdin is None else stdin.encode())
-        print(proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
-              hashlib.sha256(proc.stderr).hexdigest(), " ".join(run),
+        print(proc.returncode, sha256(proc.stdout), sha256(proc.stderr), " ".join(run),
               *([] if stdin is None else ["<", stdin]), flush=True)
+    for name in EXAMPLES:
+        with tempfile.TemporaryDirectory() as tmp:
+            proc = subprocess.run([sys.executable, str(root / "scripts" / f"{name}.py")],
+                                  capture_output=True, env=env, cwd=tmp)
+            written = [f"{path.name}={sha256(path.read_bytes())}"
+                       for path in sorted(Path(tmp).glob("*.csv"))]
+        print(proc.returncode, sha256(proc.stdout), sha256(proc.stderr),
+              f"scripts/{name}.py", *written, flush=True)
     return 0
 
 

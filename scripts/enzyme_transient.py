@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from birat.geomcheck import Trajectory, conservation_drift, iterate_map
+from birat.geomcheck import conservation_drift, iterate_map
 from birat.kahan import kahan_step
 from birat.models import DimensionlessEnzymeParams, enzyme_diml_vf, michaelis_menten
 
@@ -42,8 +42,7 @@ def main(argv=None):
     tau = args.h * np.arange(steps + 1)
     k_peak = int(np.argmax(states[:, 1]))
     qss_peak = michaelis_menten(states[k_peak, 0], p.nu)
-    drift = conservation_drift(Trajectory(states, args.h),
-                               np.array([1.0, p.eps, 1.0]))
+    drift = conservation_drift(states, np.array([1.0, p.eps, 1.0]))
     k30 = min(steps, int(round(30.0 / args.h)))
 
     print(f"wrote {args.output} ({steps + 1} rows, h={args.h})")

@@ -11,7 +11,7 @@ import csv
 import sys
 from fractions import Fraction
 
-from birat.geomcheck import Trajectory, energy_profile, iterate_map, orbit_verdict
+from birat.geomcheck import energy_profile, iterate_map, orbit_verdict
 from birat.lvfamily import (
     CASE_VI_SCHEME,
     KAHAN_SCHEME,
@@ -56,16 +56,16 @@ def main(argv=None):
             for k, (x, y) in enumerate(states):
                 writer.writerow([k * args.h, x, y])
 
-        traj = Trajectory(states, args.h)
         worst_res = max(
             abs(symplectic_residual(scheme, x, y, args.h))
             for x, y in states[:: max(1, args.steps // 200)])
+        energy = lambda s: lv_hamiltonian(s[0], s[1])
         try:
-            osc, slope = energy_profile(traj, lambda s: lv_hamiltonian(s[0], s[1]))
-            verdict = orbit_verdict(traj, monitor=lambda s: lv_hamiltonian(s[0], s[1]))
+            osc, slope = energy_profile(states, args.h, energy)
+            verdict = orbit_verdict(states, args.h, monitor=energy)
             h_line = f"H oscillation {osc:.3e}, trend {slope:.3e}"
         except Exception:  # orbit left the positive quadrant
-            verdict = orbit_verdict(traj)
+            verdict = orbit_verdict(states, args.h)
             h_line = "H undefined along parts of the orbit"
 
         cases = ",".join(report.birational_cases) or "-"

@@ -10,7 +10,7 @@ import argparse
 import csv
 import sys
 
-from birat.geomcheck import Trajectory, iterate_map, transversal_crossings
+from birat.geomcheck import iterate_map, transversal_crossings
 from birat.models import (
     SchnakenbergParams,
     hopf_unstable_b,
@@ -49,8 +49,7 @@ def main(argv=None):
             writer.writerow([k * args.h, x, y])
     print(f"wrote {args.output} ({args.steps + 1} rows)")
 
-    traj = Trajectory(states, args.h)
-    returns = [float(s[1]) for s in transversal_crossings(traj, 0, xs)]
+    returns = [float(s[1]) for s in transversal_crossings(states, 0, xs)]
     if len(returns) < 2:
         print("fewer than two section returns; lengthen the run")
         return 1

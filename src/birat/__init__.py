@@ -26,7 +26,7 @@ _EXPORTS = {
         "classify_params", "classify_symplectic", "invert_params", "lv_hamiltonian",
         "lv_inverse_step", "lv_step", "symbolic_certificate", "symplectic_residual",
     ),
-    "geomcheck": ("OrbitVerdict", "Trajectory"),
+    "geomcheck": ("OrbitVerdict",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

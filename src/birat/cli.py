@@ -381,21 +381,21 @@ def cmd_verify(args) -> int:
     tol = _config_tol(args.tol)
     workers = min(len(names), _usable_cpus())
     if workers > 1:
-        # The suites share no state, so each runs whole in one worker; pool.map
-        # hands results back in SUITES order and the report is built as below.
+        # The suites share no state, so each runs whole in one worker; the
+        # results are read back in SUITES order and the report is built as below.
         # Imported here so that import birat, integrate and classify do not
         # load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            results = list(pool.map(verify.run_suite, names, [args.seed] * len(names),
-                                    [tol] * len(names)))
+            futures = [pool.submit(verify.SUITES[name], args.seed, tol) for name in names]
+            results = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
         # a one-worker pool costs about 0.1 s and overlaps nothing
-        results = [verify.run_suite(name, args.seed, tol) for name in names]
+        results = [verify.SUITES[name](args.seed, tol) for name in names]
     checks = [check for result in results for check in result]
     passed = all(c["passed"] for c in checks)
     print(json.dumps({"suite": args.suite, "seed": args.seed, "tol": tol,

@@ -2,8 +2,8 @@
 
 Each suite is a function of ``(seed, tol)`` that returns its checks, each a
 dict with ``name``, ``value``, ``threshold`` and ``passed``.  The suites
-share no state, so ``birat verify all`` runs them in worker processes and
-:func:`run_suite` runs one by name.  This module loads numpy; the CLI
+share no state, so ``birat verify all`` runs them in worker processes; being
+module level, they pickle by reference.  This module loads numpy; the CLI
 imports it only for ``verify``.
 """
 from __future__ import annotations
@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .geomcheck import (
-    Trajectory,
     conservation_drift,
     convergence_order,
     iterate_map,
@@ -55,10 +54,9 @@ def _suite_conservation(seed: int, tol: float) -> list[dict]:
         vf = spec.field(spec.defaults)
         states = iterate_map(lambda x: kahan_step(vf, x, h),
                              spec.default_x0(spec.defaults), steps)
-        traj = Trajectory(states, h)
         for label, w in spec.invariants(spec.defaults).items():
             checks.append(_check(f"{model}-{label}-drift",
-                                 conservation_drift(traj, np.array(w)), tol))
+                                 conservation_drift(states, np.array(w)), tol))
     return checks
 
 
@@ -159,7 +157,3 @@ SUITES = {
     "multipliers": _suite_multipliers,
 }
 
-
-def run_suite(name: str, seed: int, tol: float) -> list[dict]:
-    """One suite's checks; module level so a worker process can run it by name."""
-    return SUITES[name](seed, tol)

@@ -2,6 +2,7 @@
 import ast
 import concurrent.futures
 import contextlib
+import functools
 import io
 import json
 import math
@@ -30,6 +31,17 @@ QUARTERS = ",".join(["1/4"] * 10)
 fork_only = pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="a worker sees a monkeypatched suite only when forked from this process")
+
+
+# Fake suites for the pool path live at module level: a worker receives the
+# suite function itself, pickled by reference.
+def singular_suite(seed, tol):
+    raise SingularStepMatrix("boom")
+
+
+def pid_suite(name, pause, seed, tol):
+    time.sleep(pause)
+    return [{"name": name, "value": os.getpid(), "threshold": 0, "passed": True}]
 
 
 def run_cli(argv):
@@ -534,10 +546,7 @@ class TestVerify:
 
     @fork_only
     def test_worker_error_exits_2(self, monkeypatch):
-        def boom(seed, tol):
-            raise SingularStepMatrix("boom")
-
-        monkeypatch.setitem(verify.SUITES, "roundtrip", boom)
+        monkeypatch.setitem(verify.SUITES, "roundtrip", singular_suite)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)  # the pool path, even on one CPU
         code, out, err = run_cli(["verify", "all"])
         assert code == 2
@@ -545,14 +554,19 @@ class TestVerify:
         assert err == "birat: SingularStepMatrix: boom\n"
         assert multiprocessing.active_children() == []
 
+    def test_roundtrip_step_failure_exits_2(self, monkeypatch):
+        def singular(vf, x, h):
+            raise SingularStepMatrix("boom")
+
+        monkeypatch.setattr(verify, "kahan_step", singular)
+        code, out, err = run_cli(["verify", "roundtrip"])
+        assert code == 2
+        assert out == ""
+        assert err == "birat: SingularStepMatrix: boom\n"
+
     @staticmethod
     def _pid_suites(names, pause):
-        def make(name):
-            def suite(seed, tol):
-                time.sleep(pause)
-                return [{"name": name, "value": os.getpid(), "threshold": 0, "passed": True}]
-            return suite
-        return {name: make(name) for name in names}
+        return {name: functools.partial(pid_suite, name, pause) for name in names}
 
     @fork_only
     def test_suites_come_back_in_order_from_workers(self, monkeypatch):

@@ -1,16 +1,15 @@
-"""Trajectory diagnostics: drift, verdicts, convergence, crossings."""
+"""Orbit diagnostics: drift, verdicts, convergence, crossings."""
 import warnings
 
 import numpy as np
 import pytest
 
-from birat.errors import NonFiniteState, NotASteadyState
+from birat.errors import NonFiniteState, NotASteadyState, SingularStepMatrix
 from birat.geomcheck import (
     DECAYING,
     DIVERGING,
     INCONCLUSIVE,
     PERIODIC_LIKE,
-    Trajectory,
     conservation_drift,
     convergence_order,
     energy_profile,
@@ -26,24 +25,41 @@ from birat.lvfamily import KAHAN_SCHEME, lv_hamiltonian, lv_step
 from birat.models import lv_vf
 
 
-def circle_traj(n_periods=100, step=0.1):
+def circle_states(n_periods=100, step=0.1):
     t = np.arange(0.0, n_periods * 2 * np.pi, step)
-    return Trajectory(np.column_stack([np.sin(t), np.cos(t)]), step)
+    return np.column_stack([np.sin(t), np.cos(t)])
 
 
-class TestTrajectory:
+class TestTimeAxis:
+    """Both secular slopes fit against the sample times 0.0 + h * arange(n)."""
+
+    @staticmethod
+    def _reference_slope(values, h):
+        return np.polyfit(0.0 + h * np.arange(len(values)), values, 1)[0]
+
     @pytest.mark.parametrize("step", [0.25, 0.1, -0.01, 1e-3])
-    def test_times_are_exact_multiples_of_the_step(self, step):
-        traj = Trajectory(np.zeros((1001, 2)), step)
-        expected = 0.0 + step * np.arange(1001)
-        assert traj.times.tobytes() == expected.tobytes()
-        assert not np.signbit(traj.times[0])  # 0.0, not -0.0, for a negative step
+    def test_verdict_slope(self, step):
+        states = circle_states(2, 0.01)
+        monitor = lambda s: s[0] + 0.5 * s[1] ** 2
+        values = np.array([monitor(s) for s in states])
+        slope = orbit_verdict(states, step, monitor).secular_slope
+        assert np.float64(slope).tobytes() == self._reference_slope(values, step).tobytes()
+        plain = orbit_verdict(states, step).secular_slope
+        assert np.float64(plain).tobytes() == \
+            self._reference_slope(states[:, 0], step).tobytes()
 
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros(3), 0.1)  # 1-D states
-        with pytest.raises(ValueError):
-            Trajectory(np.zeros((3, 1, 1)), 0.1)
+    @pytest.mark.parametrize("step", [0.25, 0.1, -0.01, 1e-3])
+    def test_energy_slope(self, step):
+        states = circle_states(2, 0.01)
+        f = lambda s: s[0] * s[1] - s[1]
+        values = np.array([f(s) for s in states])
+        slope = energy_profile(states, step, f)[1]
+        assert np.float64(slope).tobytes() == self._reference_slope(values, step).tobytes()
+
+    def test_one_sample_has_zero_slope(self):
+        states = np.array([[1.0, 2.0]])
+        assert energy_profile(states, 0.1, lambda s: s[0]) == (0.0, 0.0)
+        assert orbit_verdict(states, 0.1).secular_slope == 0.0
 
 
 class TestIterateMap:
@@ -123,42 +139,31 @@ class TestOrbit:
 class TestConservationDrift:
     def test_exact_conservation(self):
         a = np.linspace(0.0, 1.0, 50)
-        traj = Trajectory(np.column_stack([a, -a]), 0.1)
-        assert conservation_drift(traj, np.array([1.0, 1.0])) == 0.0
+        states = np.column_stack([a, -a])
+        assert conservation_drift(states, np.array([1.0, 1.0])) == 0.0
 
     def test_detects_drift(self):
         states = np.column_stack([np.linspace(1.0, 2.0, 50), np.zeros(50)])
-        traj = Trajectory(states, 0.1)
         # max |v - v0| = 1 against the relative scale 1 + |v0| = 2.
-        assert conservation_drift(traj, np.array([1.0, 0.0])) == pytest.approx(0.5)
-
-    def test_invariant_under_time_shift(self):
-        states = np.random.default_rng(1).normal(size=(40, 3))
-        w = np.array([1.0, -2.0, 0.5])
-        d0 = conservation_drift(Trajectory(states, 0.1), w)
-        d1 = conservation_drift(Trajectory(states, 0.7), w)
-        assert d0 == d1
+        assert conservation_drift(states, np.array([1.0, 0.0])) == pytest.approx(0.5)
 
 
 class TestEnergyProfile:
     def test_constant_energy(self):
-        traj = Trajectory(np.ones((30, 2)), 0.1)
-        osc, slope = energy_profile(traj, lambda s: s[0] + s[1])
+        osc, slope = energy_profile(np.ones((30, 2)), 0.1, lambda s: s[0] + s[1])
         assert osc == 0.0
         assert slope == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_energy_slope(self):
         states = np.column_stack([np.linspace(0.0, 1.0, 101), np.zeros(101)])
-        traj = Trajectory(states, 0.01)
-        osc, slope = energy_profile(traj, lambda s: 3.0 * s[0])
+        osc, slope = energy_profile(states, 0.01, lambda s: 3.0 * s[0])
         assert osc == pytest.approx(3.0)
         assert slope == pytest.approx(3.0, rel=1e-9)
 
     def test_polarized_lv_keeps_energy_tight(self):
         states = iterate_map(lambda s: lv_step(KAHAN_SCHEME, s[0], s[1], 0.01),
                              [2.0, 0.5], 5000)
-        traj = Trajectory(states, 0.01)
-        osc, slope = energy_profile(traj, lambda s: lv_hamiltonian(s[0], s[1]))
+        osc, slope = energy_profile(states, 0.01, lambda s: lv_hamiltonian(s[0], s[1]))
         assert osc < 1e-4
         assert abs(slope) < 1e-6
 
@@ -187,12 +192,15 @@ class TestRoundtripError:
             lambda p: kahan_step(vf, p, -0.05), pts)
         assert err < 1e-11
 
-    def test_failure_reports_point(self):
-        def boom(p):
-            raise ZeroDivisionError("denominator vanished")
+    def test_map_failure_propagates_unchanged(self):
+        error = SingularStepMatrix("step matrix singular")
 
-        with pytest.raises(RuntimeError, match="round trip at"):
+        def boom(p):
+            raise error
+
+        with pytest.raises(SingularStepMatrix) as caught:
             roundtrip_error(boom, lambda p: p, np.array([[1.0, 2.0]]))
+        assert caught.value is error
 
 
 class TestConvergenceOrder:
@@ -267,13 +275,13 @@ class TestMultiplierAgreement:
 
 class TestOrbitVerdict:
     def test_periodic_circle(self):
-        verdict = orbit_verdict(circle_traj())
+        verdict = orbit_verdict(circle_states(), 0.1)
         assert verdict.kind == PERIODIC_LIKE
         assert verdict.amplitude_ratio == pytest.approx(1.0, abs=1e-3)
 
     def test_monitor_flattens_secular_artifact(self):
         # A radius monitor removes the window-phase artifact entirely.
-        verdict = orbit_verdict(circle_traj(), monitor=lambda s: s[0] ** 2 + s[1] ** 2)
+        verdict = orbit_verdict(circle_states(), 0.1, monitor=lambda s: s[0] ** 2 + s[1] ** 2)
         assert verdict.kind == PERIODIC_LIKE
         assert abs(verdict.secular_slope) < 1e-12
 
@@ -281,38 +289,38 @@ class TestOrbitVerdict:
         # Ten periods leave a least-squares trend of order amplitude/periods^2,
         # above the slope gate, so the verdict must stay inconclusive rather
         # than claim periodicity.
-        verdict = orbit_verdict(circle_traj(n_periods=10, step=0.05))
+        verdict = orbit_verdict(circle_states(n_periods=10, step=0.05), 0.05)
         assert verdict.kind == INCONCLUSIVE
 
     def test_decaying(self):
         t = np.arange(0, 20 * np.pi, 0.05)
         states = np.column_stack([np.exp(-0.1 * t) * np.sin(t), np.cos(t)])
-        verdict = orbit_verdict(Trajectory(states, 0.05))
+        verdict = orbit_verdict(states, 0.05)
         assert verdict.kind == DECAYING
         assert verdict.amplitude_ratio < 0.5
 
     def test_diverging_growth(self):
         t = np.arange(0, 20 * np.pi, 0.05)
         states = np.column_stack([np.exp(0.05 * t) * np.sin(t), np.cos(t)])
-        assert orbit_verdict(Trajectory(states, 0.05)).kind == DIVERGING
+        assert orbit_verdict(states, 0.05).kind == DIVERGING
 
     def test_diverging_on_nonfinite(self):
         states = np.ones((40, 1))
         states[35] = np.nan
-        assert orbit_verdict(Trajectory(states, 0.1)).kind == DIVERGING
+        assert orbit_verdict(states, 0.1).kind == DIVERGING
 
     def test_diverging_on_overflow(self):
         states = np.linspace(1.0, 5e8, 60).reshape(-1, 1)
-        assert orbit_verdict(Trajectory(states, 0.1)).kind == DIVERGING
+        assert orbit_verdict(states, 0.1).kind == DIVERGING
 
     def test_constant_is_periodic_with_unit_ratio(self):
-        verdict = orbit_verdict(Trajectory(np.full((50, 1), 2.5), 0.1))
+        verdict = orbit_verdict(np.full((50, 1), 2.5), 0.1)
         assert verdict.kind == PERIODIC_LIKE
         assert verdict.amplitude_ratio == 1.0
 
     def test_deterministic(self):
-        traj = circle_traj(20, 0.1)
-        assert orbit_verdict(traj) == orbit_verdict(traj)
+        states = circle_states(20, 0.1)
+        assert orbit_verdict(states, 0.1) == orbit_verdict(states, 0.1)
 
 
 class TestTransversalCrossings:
@@ -321,8 +329,7 @@ class TestTransversalCrossings:
         # sin (at 2*pi*k) fall strictly inside the sampled range.
         t = np.arange(0.005, 32.0, 0.01)
         states = np.column_stack([np.sin(t), np.cos(t)])
-        traj = Trajectory(states, 0.01)
-        ups = transversal_crossings(traj, 0, 0.0)
+        ups = transversal_crossings(states, 0, 0.0)
         assert len(ups) == 5
         for state in ups:
             assert abs(state[0]) < 1e-12  # the section coordinate is solved exactly
@@ -331,5 +338,4 @@ class TestTransversalCrossings:
     def test_direction_filter(self):
         # three crossings of 0.5, of which the middle one is downward
         states = np.array([[0.0], [1.0], [0.0], [1.0]])
-        traj = Trajectory(states, 1.0)
-        assert len(transversal_crossings(traj, 0, 0.5)) == 2
+        assert len(transversal_crossings(states, 0, 0.5)) == 2

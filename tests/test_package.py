@@ -23,7 +23,7 @@ EXPORTED = {
                  "classify_birational", "classify_params", "classify_symplectic",
                  "invert_params", "lv_hamiltonian", "lv_inverse_step", "lv_step",
                  "symbolic_certificate", "symplectic_residual"],
-    "geomcheck": ["OrbitVerdict", "Trajectory"],
+    "geomcheck": ["OrbitVerdict"],
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names]
 
