@@ -35,10 +35,15 @@ After the CLI runs come the three example scripts of the checkout's
 `scripts/`, each run at its default arguments in a fresh temporary directory.
 Their lines hold the exit code, the sha256 of stdout and of stderr, the
 script's path and `name=sha256` for every CSV file it wrote, by name.
+
+Appended after the scripts: the all-1/4 set, which has no linear
+elimination, to `integrate --method lv-family` by flag and by config file,
+and a Mickens config file with `"tol": Infinity`.
 """
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,6 +51,7 @@ import tempfile
 from pathlib import Path
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
+QUARTERS = ",".join(["1/4"] * 10)
 SUITES = ("conservation", "symplectic", "roundtrip", "convergence", "multipliers")
 INTEGRATE = (
     ["--model", "enzyme3", "--method", "kahan", "--h", "1e-3"],
@@ -80,7 +86,7 @@ CERTIFY = (
     "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2",  # KAHAN_SCHEME
     MICKENS,  # MICKENS_SCHEME
     "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0",  # CASE_VI_SCHEME
-    ",".join(["1/4"] * 10),  # NOT_CERTIFIED
+    QUARTERS,  # NOT_CERTIFIED
     "1/3,0,0,1/4,3/4,2/3,0,0,-1/2,3/2",  # i
     "1/2,0,0,1,0,1/3,1/2,0,1/4,1/4",  # ii
     "2/3,0,0,0,1,1/2,0,-1/3,1/2,5/6",  # iii
@@ -138,6 +144,16 @@ EXPONENTS = (
 )
 EXPONENT_CONFIG = {"model": "lv", "method": "kahan", "h": "1e-3000000", "steps": 2}
 EXAMPLES = ("enzyme_transient", "lv_scheme_comparison", "schnakenberg_limit_cycle")
+FROM_STDIN = ["integrate", "--config", "/dev/stdin"]
+# Runs added after EXAMPLES; their lines come after the scripts' lines.
+APPENDED = (
+    (["integrate", "--model", "lv", "--method", "lv-family", "--params", QUARTERS,
+      "--h", "0.1", "--steps", "10"], None),
+    (FROM_STDIN, json.dumps({"model": "lv", "method": "lv-family", "h": 0.1, "steps": 10,
+                             "params": QUARTERS})),
+    (FROM_STDIN, json.dumps({"model": "lv", "method": "lv-family", "h": 0.1, "steps": 10,
+                             "params": MICKENS, "tol": math.inf})),
+)
 
 
 def runs() -> list[tuple[list[str], str | None]]:
@@ -158,11 +174,10 @@ def runs() -> list[tuple[list[str], str | None]]:
     out += [["integrate", *spec, "--steps", "200"] for spec in TABLE]
     out += [["classify", params, "--certify"] for params in CERTIFY]
     out += [list(run) for run in LATER]
-    from_stdin = ["integrate", "--config", "/dev/stdin"]
     return ([(run, None) for run in out]
-            + [(from_stdin, json.dumps(cfg)) for cfg in CONFIGS]
+            + [(FROM_STDIN, json.dumps(cfg)) for cfg in CONFIGS]
             + [(list(run), None) for run in EXPONENTS]
-            + [(from_stdin, json.dumps(EXPONENT_CONFIG))])
+            + [(FROM_STDIN, json.dumps(EXPONENT_CONFIG))])
 
 
 def sha256(data: bytes) -> str:
@@ -180,12 +195,16 @@ def main(argv=None) -> int:
         print(f"cli_digest: no birat sources under {src}", file=sys.stderr)
         return 1
     env = dict(os.environ, PYTHONPATH=str(src))
-    for run, stdin in runs():
+
+    def digest_cli(run, stdin):
         proc = subprocess.run([sys.executable, "-m", "birat.cli", *run],
                               capture_output=True, env=env, cwd=root,
                               input=None if stdin is None else stdin.encode())
         print(proc.returncode, sha256(proc.stdout), sha256(proc.stderr), " ".join(run),
               *([] if stdin is None else ["<", stdin]), flush=True)
+
+    for run, stdin in runs():
+        digest_cli(run, stdin)
     for name in EXAMPLES:
         with tempfile.TemporaryDirectory() as tmp:
             proc = subprocess.run([sys.executable, str(root / "scripts" / f"{name}.py")],
@@ -194,6 +213,8 @@ def main(argv=None) -> int:
                        for path in sorted(Path(tmp).glob("*.csv"))]
         print(proc.returncode, sha256(proc.stdout), sha256(proc.stderr),
               f"scripts/{name}.py", *written, flush=True)
+    for run, stdin in APPENDED:
+        digest_cli(run, stdin)
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .driver import orbit
 from .errors import BiratError, ConstraintViolation
-from .lvfamily import LVParams, classify_params, lv_step
+from .lvfamily import DEFAULT_STEP_TOL, LVParams, classify_params, lv_step
 from .models import MODELS, model_vector_field, schnakenberg_step, schnakenberg_vf
 from .ratpoly import parse_rational
 
@@ -83,9 +83,11 @@ def _config_int(value, what: str) -> int:
 
 
 def _config_tol(value) -> float:
-    """``tol`` as :func:`_config_float` reads it; it must be nonnegative."""
+    """``tol`` as :func:`_config_float` reads it; it must be finite and nonnegative."""
     tol = _config_float(value, "tol")
-    if not tol >= 0.0:
+    if not math.isfinite(tol):
+        raise ConfigError("tol: must be finite")
+    if tol < 0.0:
         raise ConfigError("tol: must be nonnegative")
     return tol
 
@@ -110,12 +112,12 @@ class RunConfig:
     method: str
     h: float
     steps: int
+    tol: float
     x0: list[float] | None = None
     params: dict | None = None
     scheme: LVParams | None = None
     output: str | None = None
     format: str = "csv"
-    tol: float = 1e-9
 
 
 def _build_run_config(args) -> RunConfig:
@@ -172,7 +174,7 @@ def _build_run_config(args) -> RunConfig:
         steps=steps,
         output=output,
         format=fmt,
-        tol=_config_tol(merged.get("tol", 1e-9)),
+        tol=_config_tol(merged.get("tol", DEFAULT_STEP_TOL)),
     )
 
     params_raw = merged.get("params")
@@ -198,6 +200,9 @@ def _build_run_config(args) -> RunConfig:
             cfg.scheme = LVParams.from_list(vals)
         except (ConstraintViolation, ValueError) as exc:
             raise ConfigError(f"params: {exc}") from exc
+        if cfg.scheme.elimination_order is None:
+            raise ConfigError("params: no elimination is linear for this set,"
+                              " so lv-family has no step for it")
     else:
         pmap: dict[str, str] = {}
         if isinstance(params_raw, str) and params_raw:
@@ -373,9 +378,8 @@ def cmd_verify(args) -> int:
     elif args.suite in verify.SUITES:
         names = [args.suite]
     else:
-        print(f"verify: unknown suite {args.suite!r}; choose from"
-              f" {', '.join([*verify.SUITES, 'all'])}", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError(f"suite: unknown suite {args.suite!r}; choose from"
+                          f" {', '.join([*verify.SUITES, 'all'])}")
     if args.seed < 0:
         raise ConfigError(f"seed: expected a non-negative integer, got {args.seed}")
     tol = _config_tol(args.tol)

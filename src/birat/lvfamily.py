@@ -104,7 +104,7 @@ class LVParams:
         coefficient p2 = c h + c (1 - A) h^2 + (C d - c D) x h^2 vanishes
         identically (tested first), else "xt" when eliminating yt leaves
         q2 = C h + C (a - 1) h^2 + (C e - c E) y h^2 = 0 likewise.  None for a
-        set with neither, whose order lv_step tests in floats at every step.
+        set with neither, which lv_step refuses.
         """
         if self.c == 0 and self.C * self.d == 0:
             return "yt"
@@ -189,10 +189,10 @@ def _relation_coeffs(vals, x, y, h, one):
     """Coefficients of the two step relations in the basis {1, xt, yt, xt*yt}.
 
     Returns (c1, u1, v1, uv1, c2, u2, v2, uv2) for h-scaled residuals E1, E2
-    that vanish on step pairs.  This is the float body of lv_step,
-    _float_order and step_residuals, whose operation order fixes their output
-    bits; the tests also run it over Fraction and MultiPoly as the oracle
-    of the closed forms in :func:`_elimination_quadratics`.
+    that vanish on step pairs.  This is the float body of lv_step and
+    step_residuals, whose operation order fixes their output bits; the tests
+    also run it over Fraction and MultiPoly as the oracle of the closed forms
+    in :func:`_elimination_quadratics`.
     """
     a, b, c, d, e, A, B, C, D, E = vals
     e1c = h * b * x * y - x - h * a * x
@@ -206,43 +206,12 @@ def _relation_coeffs(vals, x, y, h, one):
     return e1c, e1u, e1v, e1uv, e2c, e2u, e2v, e2uv
 
 
-def _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2):
-    """Resultant of the two relations in u: quadratic coefficients in v.
-
-    With E_i = (u_i + uv_i v) u + (c_i + v_i v), returns (p2, p1, p0) of
-    alpha1*beta2 - alpha2*beta1.
-    """
-    p2 = uv1 * v2 - uv2 * v1
-    p1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
-    p0 = u1 * c2 - u2 * c1
-    return p2, p1, p0
-
-
 def step_residuals(p: LVParams, x, y, xt, yt, h):
     """h-scaled residuals of the two defining relations at a candidate pair."""
     c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
     r1 = c1 + u1 * xt + v1 * yt + uv1 * xt * yt
     r2 = c2 + u2 * xt + v2 * yt + uv2 * xt * yt
     return r1, r2
-
-
-def _float_order(coeffs, tol, x, y, h) -> str:
-    """lv_step's order at one step, for a set whose elimination_order is None.
-
-    An elimination counts as linear when its quadratic coefficient is
-    negligible against the other two; p2 is tested before q2.
-    """
-    p2, p1, p0 = _eliminate(*coeffs)
-    if abs(p2) <= tol * (abs(p1) + abs(p0) + 1.0):
-        return "yt"
-    c1, u1, v1, uv1, c2, u2, v2, uv2 = coeffs
-    q2, q1, q0 = _eliminate(c1, v1, u1, uv1, c2, v2, u2, uv2)
-    if abs(q2) <= tol * (abs(q1) + abs(q0) + 1.0):
-        return "xt"
-    raise NotBirational(
-        f"both elimination orders stay quadratic (p2={p2:.3e}, q2={q2:.3e}) "
-        f"at (x, y) = ({x}, {y}), h = {h}"
-    )
 
 
 def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP_TOL):
@@ -252,14 +221,17 @@ def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP
     is linear in the other, in the order ``p.elimination_order`` fixes
     exactly for every birational template: the linear root comes first,
     then the eliminated unknown from whichever relation has a denominator
-    clear of zero.
+    clear of zero.  A set with no such order raises NotBirational.
     """
+    order = p.elimination_order
+    if order is None:
+        raise NotBirational("no elimination is linear for this parameter set")
     x, y, h = float(x), float(y), float(h)
-    coeffs = c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
-    order = p.elimination_order or _float_order(coeffs, tol, x, y, h)
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
     if order == "xt":  # exchange the roles of xt and yt
         u1, v1, u2, v2 = v1, u1, v2, u2
-    # the linear coefficients (s1, s0) of _eliminate, in the solved unknown s
+    # the resultant in r of E_i = (u_i + uv_i s) r + (c_i + v_i s) is s1 s + s0
+    # in the solved unknown s: the order makes its s^2 term vanish
     s1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
     s0 = u1 * c2 - u2 * c1
     if abs(s1) <= tol * (abs(s0) + 1.0):
@@ -312,7 +284,10 @@ class SymbolicCertificate:
 
 
 def _elimination_quadratics(p: LVParams, inverse: bool = False):
-    """:func:`_eliminate` of p's relations over Q[x, y, h], in closed form.
+    """The resultant in xt of p's relations over Q[x, y, h], in closed form.
+
+    Its coefficients (p2, p1, p0) of the quadratic in yt are those of
+    alpha1*beta2 - alpha2*beta1 for E_i = alpha_i xt + beta_i.
 
     With the parameters as integers over the lcm ``L`` of their denominators,
     every coefficient is an integer over ``L**2``; terms are keyed by

@@ -8,14 +8,19 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import time
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from birat import cli, verify
 from birat.cli import main
@@ -324,11 +329,25 @@ class TestIntegrateConfigErrors:
         assert err == f"birat: error: output: [Errno 2] No such file or directory: '{target}'\n"
 
 
+    def test_set_without_linear_elimination_refused(self, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"model": "lv", "method": "lv-family", "h": 0.1,
+                                   "steps": 10, "params": ["1/4"] * 10}))
+        flags = ["--model", "lv", "--method", "lv-family", "--params", QUARTERS,
+                 "--h", "0.1", "--steps", "10"]
+        for argv in (flags, ["--config", str(cfg)]):
+            assert run_cli(["integrate", *argv]) == (
+                1, "", "birat: error: params: no elimination is linear for this set,"
+                       " so lv-family has no step for it\n")
+
+
 class TestIntegrateRuntimeFailure:
+    # Mickens from x = 1e300: both recovery denominators vanish at step 1
+    FAILING = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+               "--h", "0.1", "--x0", "1e300,1", "--steps", "10"]
+
     def test_partial_csv_and_exit_2(self):
-        code, out, err = run_cli(["integrate", "--model", "lv", "--method",
-                                  "lv-family", "--params", QUARTERS,
-                                  "--h", "0.1", "--steps", "10"])
+        code, out, err = run_cli(self.FAILING)
         assert code == 2
         lines = out.splitlines()
         assert lines[0] == "t,x,y"
@@ -336,9 +355,7 @@ class TestIntegrateRuntimeFailure:
         assert "step 1" in err
 
     def test_json_error_trailer(self):
-        code, out, _ = run_cli(["integrate", "--model", "lv", "--method",
-                                "lv-family", "--params", QUARTERS,
-                                "--h", "0.1", "--steps", "10", "--format", "json"])
+        code, out, _ = run_cli(self.FAILING + ["--format", "json"])
         assert code == 2
         doc = json.loads(out)
         assert len(doc["rows"]) == 1
@@ -798,6 +815,18 @@ class TestConfigFile:
         assert code == 0
         assert len(out.splitlines()) == 7
 
+    def test_tol_must_be_finite(self, tmp_path):
+        run = ('{"model": "lv", "method": "lv-family", "params": "%s", "h": 0.1,'
+               ' "steps": 5, "tol": %s}')
+        cfg = tmp_path / "run.json"
+        for tol in ("Infinity", "-Infinity", "NaN"):
+            cfg.write_text(run % (MICKENS, tol))
+            assert run_cli(["integrate", "--config", str(cfg)]) == (
+                1, "", "birat: error: tol: must be finite\n")
+        assert run_cli(["integrate", "--model", "lv", "--method", "lv-family", "--params",
+                        MICKENS, "--h", "0.1", "--steps", "5", "--tol", "inf"]) == (
+            1, "", "birat: error: tol: cannot parse 'inf' as a number\n")
+
     def test_flags_override_config(self, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"model": "lv", "method": "kahan",
@@ -898,3 +927,168 @@ class TestSubprocessLogging:
         proc = self._run({"BIRAT_LOG": "ERROR"})
         assert proc.returncode == 0
         assert proc.stderr == ""
+
+
+# -- the CLI contract as one property ------------------------------------------------
+
+KAHAN = "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2"
+CASE_VI = "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0"
+FORWARD_ONLY = "1/2,1/2,0,0,1/2,1/2,1/2,0,1/2,0"  # a forward order, none for its inverse
+
+# Flag texts a run can succeed with (GOOD) and near misses (BAD).  x0 and params
+# depend on the model, and params on the method too.
+_GOOD = {
+    "pair": [("enzyme3", "kahan"), ("enzyme4", "kahan"), ("lv", "kahan"),
+             ("lv", "kahan-series:2"), ("lv", "euler"), ("lv", "lv-family"),
+             ("schnakenberg", "schnakenberg"), ("schnakenberg", "euler")],
+    "h": ["0.1", "-0.01", "1e-3", "1/8", "3", "1e300"],
+    "steps": ["1", "7", "50"],
+    "output": ["-", "a"],
+    "format": ["csv", "json"],
+    "tol": ["1e-9", "0", "1/2", "1e300"],
+    "lv-family": [MICKENS, KAHAN, CASE_VI, FORWARD_ONLY],
+    "enzyme3": ["mu=0.5", "mu=0.7,nu=0.6,eps=0.1"],
+    "enzyme4": ["k1=2,km1=0.3,k2=0.4"],
+    "schnakenberg": ["a=0.2,b=0.6"],
+    "lv": [""],
+}
+_BAD = {
+    "pair": [("schnakenberg", "kahan"), ("lotka", "kahan"), ("lv", "rk4"),
+             ("enzyme3", "kahan-series:-1")],
+    "h": ["0", "1e400", "1e3000000", "x"],
+    "steps": ["0", "-1", "2.5"],
+    "output": [".", ""],
+    "format": ["xml"],
+    "tol": ["-1", "inf", "nan", "tight"],
+    "x0": ["1e400,1", "nan,1", "1,2,3,4,5"],
+    "lv-family": [QUARTERS, "1/4", "1,0,0,0,0,0,0,0,0,0"],
+    "enzyme3": ["nu=1e400", "foo=1"],
+    "enzyme4": ["k1=-1,km1=0.5,k2=0.1"],
+    "schnakenberg": ["a=0.2"],
+    "lv": ["a=1"],
+}
+_X0 = {"enzyme3": "1,0.2,0", "enzyme4": "1,0.01,0,0", "lv": "2,0.5", "schnakenberg": "0.6,1.4"}
+# One JSON value of each type.  Integers stay below 51 and texts are two characters
+# of an alphabet with no "/", so no draw runs more than 50 steps and an output name
+# stays inside the run's directory.
+_SCALAR = (st.none() | st.booleans() | st.integers(-3, 50) | st.floats(max_value=50)
+           | st.just(math.inf) | st.text(alphabet="ab.-1e, ", max_size=2))
+_ANY_JSON = (_SCALAR | st.lists(_SCALAR, max_size=3)
+             | st.dictionaries(st.text(alphabet="ab", max_size=2), _SCALAR, max_size=2))
+
+
+def _as_number(text):
+    """text as a JSON number where float() reads it ("inf" and "nan" included), else text."""
+    try:
+        value = float(text)
+    except ValueError:
+        return text
+    return int(value) if value.is_integer() else value
+
+
+@st.composite
+def _integrate_runs(draw):
+    """argv and config-file object of one integrate run.
+
+    At least half the draws spoil nothing, the others up to two of: the (model, method)
+    pair, a key's text, a config value (any JSON value) and the whole config file
+    (any JSON value).  Each key goes to a flag, to the config file or to both; a
+    config value is the flag text, its number or, for x0 and params, a list.
+    """
+    keys = ["pair", "h", "steps", "params", "x0", "output", "format", "tol", "config"]
+    spoiled = draw(st.sets(st.sampled_from(keys), min_size=0, max_size=2)
+                   if draw(st.booleans()) else st.just(set()))
+
+    def pick(key, group=None):
+        return draw(st.sampled_from((_BAD if key in spoiled else _GOOD)[group or key]))
+
+    model, method = pick("pair")
+    run = {"model": model, "method": method, "h": pick("h"), "steps": pick("steps")}
+    if method == "lv-family" or "params" in spoiled or draw(st.booleans()):
+        run["params"] = pick("params", "lv-family" if method == "lv-family"
+                             else model if model in _GOOD else "lv")
+    if "x0" in spoiled or draw(st.booleans()):
+        run["x0"] = _X0.get(model, "2,0.5") if "x0" not in spoiled else pick("x0")
+    for key in ("output", "format", "tol"):
+        if key in spoiled or draw(st.booleans()):
+            run[key] = pick(key)
+    argv, config = ["integrate"], {}
+    for key, text in run.items():
+        where = draw(st.sampled_from(["flag", "config", "both"]))
+        if where != "config":
+            argv.append(f"--{key}={text}")
+        if where != "flag":
+            forms = [text, _as_number(text)]
+            if key in ("params", "x0"):
+                forms.append([_as_number(t) for t in text.split(",")])
+            config[key] = draw(st.sampled_from(forms))
+    if config and "config" in spoiled:
+        if draw(st.booleans()):
+            config = draw(_ANY_JSON)
+        else:
+            key = draw(st.sampled_from(sorted(config)))
+            config[key] = draw(_ANY_JSON.filter(lambda v: key != "output" or not isinstance(v, str)))
+    if config == {}:
+        return argv, None
+    return [*argv, "--config=cfg.json"], config
+
+
+def _run_in_fresh_dir(argv, config_text):
+    """main(argv) in a new working directory, with cfg.json written there first;
+    also returns every other file the run left there."""
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            if config_text is not None:
+                Path("cfg.json").write_text(config_text)
+            code, out, err = run_cli(argv)
+            files = {p.name: p.read_text() for p in Path().iterdir() if p.name != "cfg.json"}
+        finally:
+            os.chdir(home)
+    return code, out, err, files
+
+
+def _assert_contract(argv, config_text=None):
+    first = _run_in_fresh_dir(argv, config_text)
+    assert _run_in_fresh_dir(argv, config_text) == first
+    code, out, err, files = first
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert (out, files) == ("", {})
+        lines = [line for line in err.splitlines() if not line.startswith("WARNING ")]
+        if lines[0].startswith("usage: "):
+            assert re.fullmatch(r"birat(?: \w+)?: error: .+", lines[-1])
+        else:
+            assert len(lines) == 1
+            assert re.fullmatch(r"birat: error: [\w.]+: .+", lines[0])
+    elif argv[0] == "integrate":
+        text = out or "".join(files.values())
+        if text.startswith("{"):
+            rows = json.loads(text)["rows"]
+        else:
+            rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert all(math.isfinite(float(v)) for row in rows for v in row)
+    else:
+        assert not re.search(r"\b(NaN|Infinity)\b", out)
+
+
+class TestCliContract:
+    """Every run ends in a known exit code, each exit 1 in one config-error line,
+    no successful or partial run prints a non-finite row, and a run repeats byte
+    for byte.  Guards the config holes mended one at a time by hand."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_integrate_runs())
+    def test_integrate(self, run):
+        argv, config = run
+        _assert_contract(argv, None if config is None else json.dumps(config))
+
+    @settings(max_examples=5, deadline=None)
+    @given(suite=st.sampled_from([*cli.SUITE_NAMES, "all", "cohomology"]),
+           seed=st.none() | st.integers(-2, 40).map(str) | st.just("x"),
+           tol=st.none() | st.sampled_from(_GOOD["tol"] + _BAD["tol"]))
+    def test_verify(self, suite, seed, tol):
+        argv = ["verify", suite, *([] if seed is None else [f"--seed={seed}"]),
+                *([] if tol is None else [f"--tol={tol}"])]
+        _assert_contract(argv)

@@ -33,7 +33,6 @@ from birat.lvfamily import (
     _CASE_TEMPLATES,
     _SYMPLECTIC_TEMPLATES,
     _elimination_quadratics,
-    _eliminate,
     _relation_coeffs,
     case_iv_blend,
     check_sympcon,
@@ -253,6 +252,36 @@ class TestStep:
         with pytest.raises(NotBirational):
             lv_step(QUARTERS, 2.0, 0.5, 0.1)
 
+    def test_set_without_order_refused_on_its_line_p2_zero(self):
+        # On p2 = 0 the forward elimination is linear at this one x, but the
+        # set has no exact order; a float test of p2 there used to drop p2 and
+        # return the linear root, which misses the relations by up to 8e-13.
+        rng = random.Random(3)
+        refused = 0
+        for _ in range(20):
+            p = random_noncase_params(rng)
+            root = _curve_root(p, Fraction(1, 10), "xt")
+            if p.elimination_order is None and root is not None:
+                with pytest.raises(NotBirational, match="no elimination is linear"):
+                    lv_step(p, float(root), 0.7, 0.1)
+                refused += 1
+        assert refused >= 10
+
+    def test_forward_order_without_inverse_order(self):
+        # outside every template with c = d = 0, so p2 vanishes and the forward
+        # step is linear; its inverse has b, B != 0 in the c, C slots
+        p = LVParams.from_list(["1/2", "1/2", 0, 0, "1/2", "1/2", "1/2", 0, "1/2", 0])
+        assert classify_birational(p) == ()
+        assert (p.elimination_order, p.inverse.elimination_order) == ("yt", None)
+        got = lv_step(p, 2.0, 0.5, 0.1)
+        bounded = _bounded_lv_step(p, 2.0, 0.5, 0.1)
+        assert tuple(b.v for b in bounded) == _exact_step(
+            p, Fraction(2), Fraction(1, 2), Fraction(0.1))
+        for g, b in zip(got, bounded):
+            assert abs(Fraction(g) - b.v) <= b.e
+        with pytest.raises(NotBirational, match="no elimination is linear"):
+            lv_inverse_step(p, *got, 0.1)
+
     def test_first_order_consistency(self):
         # Every constraint-satisfying scheme discretizes the same flow, so
         # the one-step defect against the field shrinks linearly with h.
@@ -363,6 +392,18 @@ class TestCertificates:
             doc = classify_params(p, certify=True).to_json_dict()
             digest.update(json.dumps(doc, sort_keys=True).encode())
         assert digest.hexdigest() == self.CERTIFICATE_SHA256
+
+
+def _eliminate(c1, u1, v1, uv1, c2, u2, v2, uv2):
+    """Resultant of the two relations in u: quadratic coefficients in v.
+
+    With E_i = (u_i + uv_i v) u + (c_i + v_i v), returns (p2, p1, p0) of
+    alpha1*beta2 - alpha2*beta1.
+    """
+    p2 = uv1 * v2 - uv2 * v1
+    p1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
+    p0 = u1 * c2 - u2 * c1
+    return p2, p1, p0
 
 
 def negate_h(q):
