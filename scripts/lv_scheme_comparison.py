@@ -19,7 +19,7 @@ from birat.lvfamily import (
     case_iv_blend,
     classify_params,
     lv_hamiltonian,
-    lv_step,
+    lv_stepper,
     symplectic_residual,
 )
 
@@ -46,8 +46,7 @@ def main(argv=None):
     for name in args.schemes:
         scheme = SCHEMES[name]
         report = classify_params(scheme)
-        states = iterate_map(lambda s: lv_step(scheme, s[0], s[1], args.h),
-                             [args.x0, args.y0], args.steps)
+        states = iterate_map(lv_stepper(scheme, args.h), [args.x0, args.y0], args.steps)
 
         path = f"{args.prefix}{name}.csv"
         with open(path, "w", newline="") as fh:

@@ -24,7 +24,8 @@ _EXPORTS = {
         "CASE_VI_SCHEME", "KAHAN_SCHEME", "MICKENS_SCHEME", "ClassificationReport", "LVParams",
         "SymbolicCertificate", "case_iv_blend", "check_sympcon", "classify_birational",
         "classify_params", "classify_symplectic", "invert_params", "lv_hamiltonian",
-        "lv_inverse_step", "lv_step", "symbolic_certificate", "symplectic_residual",
+        "lv_inverse_step", "lv_step", "lv_stepper", "symbolic_certificate",
+        "symplectic_residual",
     ),
     "geomcheck": ("OrbitVerdict",),
 }

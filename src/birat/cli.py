@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .driver import orbit
 from .errors import BiratError, ConstraintViolation
-from .lvfamily import DEFAULT_STEP_TOL, LVParams, classify_params, lv_step
+from .lvfamily import DEFAULT_STEP_TOL, LVParams, classify_params, lv_stepper
 from .models import MODELS, model_vector_field, schnakenberg_step, schnakenberg_vf
 from .ratpoly import parse_rational
 
@@ -33,6 +33,22 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NEGATIVE = 3
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to ``sys.stderr`` as it is when the record is emitted."""
+
+    @property
+    def stream(self):
+        return sys.stderr
+
+    @stream.setter
+    def stream(self, value):  # StreamHandler.__init__ assigns one; the property ignores it
+        pass
+
+
+_LOG_HANDLER = _StderrHandler()
+_LOG_HANDLER.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
 
 
 class ConfigError(Exception):
@@ -269,7 +285,7 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequenc
         return lambda state: kahan_step_series(vf, state, h, series_order)
 
     if method == "lv-family":
-        return lambda state: lv_step(cfg.scheme, state[0], state[1], cfg.h, tol=cfg.tol)
+        return lv_stepper(cfg.scheme, cfg.h, cfg.tol)
 
     if method == "schnakenberg":
         if cfg.model != "schnakenberg":
@@ -349,15 +365,9 @@ def cmd_integrate(args) -> int:
 
 def cmd_classify(args) -> int:
     try:
-        vals = [parse_rational(tok) for tok in args.params.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"classify: malformed rational in {args.params!r}: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        params = LVParams.from_list(vals)
-    except (ValueError, ConstraintViolation) as exc:
-        print(f"classify: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        params = LVParams.from_list(parse_rational(tok) for tok in args.params.split(","))
+    except (ValueError, ZeroDivisionError) as exc:  # ConstraintViolation is a ValueError
+        raise ConfigError(f"params: {exc}") from exc
     report = classify_params(params, certify=args.certify)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.birational_cases else EXIT_NEGATIVE
@@ -442,9 +452,13 @@ def build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("BIRAT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    # the package logger gets one handler of its own, so each call logs to the
+    # stderr current at that call and handlers installed by others stay
+    level = logging.getLevelName(os.environ.get("BIRAT_LOG", "WARNING").upper())
+    package_log = logging.getLogger("birat")
+    package_log.setLevel(level if isinstance(level, int) else logging.WARNING)
+    if _LOG_HANDLER not in package_log.handlers:
+        package_log.addHandler(_LOG_HANDLER)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -1,6 +1,6 @@
 """The trajectory driver, :func:`orbit`, which loads no numpy of its own.
 
-A closed-form scalar step (``lvfamily.lv_step``, ``models.schnakenberg_step``)
+A closed-form scalar step (``lvfamily.lv_stepper``'s, ``models.schnakenberg_step``)
 runs on plain floats, so a run that uses only such a step never imports
 numpy.  A step that returns arrays has loaded numpy before the run starts.
 """

@@ -189,10 +189,11 @@ def _relation_coeffs(vals, x, y, h, one):
     """Coefficients of the two step relations in the basis {1, xt, yt, xt*yt}.
 
     Returns (c1, u1, v1, uv1, c2, u2, v2, uv2) for h-scaled residuals E1, E2
-    that vanish on step pairs.  This is the float body of lv_step and
-    step_residuals, whose operation order fixes their output bits; the tests
-    also run it over Fraction and MultiPoly as the oracle of the closed forms
-    in :func:`_elimination_quadratics`.
+    that vanish on step pairs.  This is the float body of step_residuals;
+    :func:`lv_stepper` forms the same coefficients in the same operation
+    order, so its bits match.  The tests also run it over Fraction and
+    MultiPoly as the oracle of the closed forms in
+    :func:`_elimination_quadratics`.
     """
     a, b, c, d, e, A, B, C, D, E = vals
     e1c = h * b * x * y - x - h * a * x
@@ -214,36 +215,67 @@ def step_residuals(p: LVParams, x, y, xt, yt, h):
     return r1, r2
 
 
-def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP_TOL):
-    """One step (x, y) -> (xt, yt) of the scheme p.
+def lv_stepper(p: LVParams, h: float, tol: float = DEFAULT_STEP_TOL):
+    """The step (x, y) -> (xt, yt) of the scheme p at step size h, bound once.
 
-    Eliminating one unknown from the two relations leaves an equation that
-    is linear in the other, in the order ``p.elimination_order`` fixes
-    exactly for every birational template: the linear root comes first,
-    then the eliminated unknown from whichever relation has a denominator
-    clear of zero.  A set with no such order raises NotBirational.
+    Returns ``step(state)``, which takes a pair of reals, such as a tuple
+    or a float array, and returns the pair of floats (xt, yt).  Eliminating
+    one unknown from the two relations leaves an equation that is linear in
+    the other, in the order ``p.elimination_order`` fixes exactly for every
+    birational template: the linear root comes first, then the eliminated
+    unknown from whichever relation has a denominator clear of zero.  A set
+    with no such order raises NotBirational here, before any step.
+
+    The products of h and the weights are formed once.  Every product in
+    :func:`_relation_coeffs` is left-associated and starts with h and a
+    weight (``h*b*x*y`` is ``((h*b)*x)*y``), so each step performs the same
+    IEEE operations in the same order and gives the same bits.
     """
     order = p.elimination_order
     if order is None:
         raise NotBirational("no elimination is linear for this parameter set")
-    x, y, h = float(x), float(y), float(h)
-    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
-    if order == "xt":  # exchange the roles of xt and yt
-        u1, v1, u2, v2 = v1, u1, v2, u2
-    # the resultant in r of E_i = (u_i + uv_i s) r + (c_i + v_i s) is s1 s + s0
-    # in the solved unknown s: the order makes its s^2 term vanish
-    s1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
-    s0 = u1 * c2 - u2 * c1
-    if abs(s1) <= tol * (abs(s0) + 1.0):
-        raise DegenerateLinearTerm(f"linear coefficient {s1} too small, map undefined here")
-    s = -s0 / s1
-    num, den = c1 + v1 * s, u1 + uv1 * s
-    if not abs(den) > tol * (abs(num) + 1.0):
-        num, den = c2 + v2 * s, u2 + uv2 * s
+    swap = order == "xt"  # exchange the roles of xt and yt
+    h = float(h)
+    a, b, c, d, e, A, B, C, D, E = p.as_floats
+    hb, ha, u1_0, eh, dh, uv1 = h * b, h * a, 1.0 - (1 - a) * h, e * h, d * h, c * h
+    hA, hB, Eh, v2_0, Dh, uv2 = h * A, h * B, E * h, 1.0 + (1 - A) * h, D * h, -(C * h)
+
+    def step(state):
+        x, y = state
+        x, y = float(x), float(y)
+        c1 = hb * x * y - x - ha * x
+        u1 = u1_0 + eh * y
+        v1 = dh * x
+        c2 = hA * y - y - hB * x * y
+        u2 = -(Eh * y)
+        v2 = v2_0 - Dh * x
+        if swap:
+            u1, v1, u2, v2 = v1, u1, v2, u2
+        # the resultant in r of E_i = (u_i + uv_i s) r + (c_i + v_i s) is s1 s + s0
+        # in the solved unknown s: the order makes its s^2 term vanish
+        s1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
+        s0 = u1 * c2 - u2 * c1
+        if abs(s1) <= tol * (abs(s0) + 1.0):
+            raise DegenerateLinearTerm(f"linear coefficient {s1} too small, map undefined here")
+        s = -s0 / s1
+        num, den = c1 + v1 * s, u1 + uv1 * s
         if not abs(den) > tol * (abs(num) + 1.0):
-            raise DegenerateLinearTerm("both recovery denominators vanish")
-    r = -num / den
-    return (r, s) if order == "yt" else (s, r)
+            num, den = c2 + v2 * s, u2 + uv2 * s
+            if not abs(den) > tol * (abs(num) + 1.0):
+                raise DegenerateLinearTerm("both recovery denominators vanish")
+        r = -num / den
+        return (s, r) if swap else (r, s)
+
+    return step
+
+
+def lv_step(p: LVParams, x: float, y: float, h: float, tol: float = DEFAULT_STEP_TOL):
+    """One step (x, y) -> (xt, yt) of the scheme p: :func:`lv_stepper` bound for one call.
+
+    A caller that steps one scheme at one h many times binds the step once
+    with :func:`lv_stepper` instead.
+    """
+    return lv_stepper(p, h, tol)((x, y))
 
 
 def lv_inverse_step(p: LVParams, xt: float, yt: float, h: float):

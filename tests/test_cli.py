@@ -3,8 +3,10 @@ import ast
 import concurrent.futures
 import contextlib
 import functools
+import hashlib
 import io
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -31,6 +33,8 @@ from birat.models import MODELS, lv_vf
 from birat.ratpoly import MAX_DECIMAL_EXPONENT
 
 MICKENS = "2,0,0,0,1,0,0,-1,0,2"
+KAHAN = "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2"
+CASE_VI = "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0"
 QUARTERS = ",".join(["1/4"] * 10)
 
 fork_only = pytest.mark.skipif(
@@ -364,6 +368,10 @@ class TestIntegrateRuntimeFailure:
         assert doc["error"]["message"]
 
 
+# what the run that overflows at step 11 logs, in both formats, before any other stderr
+FAILURE_LOG_LINE = "ERROR birat.cli: map failure at step 11: non-finite value in x, y\n"
+
+
 class TestNonFiniteState:
     ARGV = ["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
             "--x0", "8,0.01", "--steps", "400"]
@@ -396,7 +404,8 @@ class TestNonFiniteState:
             code, out, err = run_cli(self.ARGV)
         assert code == 2
         assert len(out.splitlines()) == 1 + 11
-        assert err == "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
+        assert err == (FAILURE_LOG_LINE
+                       + "integrate: NonFiniteState: non-finite value in x, y (step 11)\n")
 
 
 def _oracle_text(fmt, method, h, states, error=None):
@@ -465,10 +474,11 @@ class TestStreamedOutput:
         assert code == 2
         error = {"step": 11, "type": "NonFiniteState", "message": "non-finite value in x, y"}
         if fmt == "csv":
-            assert err == "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
+            assert err == (FAILURE_LOG_LINE
+                           + "integrate: NonFiniteState: non-finite value in x, y (step 11)\n")
             assert text == _oracle_text(fmt, "euler", 0.9, states)
         else:
-            assert err == ""
+            assert err == FAILURE_LOG_LINE
             assert text == _oracle_text(fmt, "euler", 0.9, states, error)
 
     @pytest.mark.parametrize("value", [
@@ -503,26 +513,23 @@ class TestClassify:
         assert len(doc["certificate"]["forward_quadratic"]) == 3
 
     def test_malformed_rational(self):
-        code, _, err = run_cli(["classify", "1/0,0,0,0,1,0,0,0,0,1"])
-        assert code == 1
-        assert "malformed rational" in err
+        assert run_cli(["classify", "1/0,0,0,0,1,0,0,0,0,1"]) == (
+            1, "", "birat: error: params: Fraction(1, 0)\n")
 
     def test_huge_exponent_rejected(self):
         params = "1e3000000,1,0,0,0,1/2,0,0,1/2,1/2"
-        code, out, err = run_cli(["classify", params])
-        assert (code, out) == (1, "")
-        assert err == (f"classify: malformed rational in {params!r}: exponent of"
-                       f" '1e3000000' exceeds {MAX_DECIMAL_EXPONENT} in size\n")
+        assert run_cli(["classify", params]) == (
+            1, "", f"birat: error: params: exponent of '1e3000000' exceeds"
+                   f" {MAX_DECIMAL_EXPONENT} in size\n")
 
     def test_wrong_count(self):
-        code, _, err = run_cli(["classify", "1,2,3"])
-        assert code == 1
+        assert run_cli(["classify", "1,2,3"]) == (
+            1, "", "birat: error: params: expected 10 parameters, got 3\n")
 
     def test_constraint_violation_names_constraint(self):
         vals = ["1/2", "1", "0", "0", "1", "1/2", "0", "0", "1/2", "1/2"]
-        code, _, err = run_cli(["classify", ",".join(vals)])
-        assert code == 1
-        assert "b + c + d + e" in err
+        assert run_cli(["classify", ",".join(vals)]) == (
+            1, "", "birat: error: params: b + c + d + e = 2, expected 1\n")
 
 
 class TestVerify:
@@ -929,10 +936,69 @@ class TestSubprocessLogging:
         assert proc.stderr == ""
 
 
+class TestInProcessLogging:
+    ARGV = ["integrate", "--model", "enzyme3", "--method", "kahan", "--h", "0.1", "--steps", "2"]
+    MESSAGE = "h=0.1 exceeds eps=0.01; the fast transient will be underresolved"
+    WARNING = f"WARNING birat.cli: {MESSAGE}\n"
+
+    def test_each_run_logs_to_the_stderr_current_at_that_run(self, caplog):
+        root = logging.getLogger()
+        installed = list(root.handlers)
+        for _ in range(2):  # each run under its own redirect_stderr
+            code, _, err = run_cli(self.ARGV)
+            assert (code, err) == (0, self.WARNING)
+        # the handlers others installed (pytest's among them) stay and see the records
+        assert root.handlers == installed
+        assert [r.getMessage() for r in caplog.records].count(self.MESSAGE) == 2
+        assert len(logging.getLogger("birat").handlers) == 1
+
+    def test_log_level_read_at_each_run(self, monkeypatch):
+        monkeypatch.setenv("BIRAT_LOG", "ERROR")
+        assert run_cli(self.ARGV)[::2] == (0, "")
+        monkeypatch.setenv("BIRAT_LOG", "WARNING")
+        assert run_cli(self.ARGV)[::2] == (0, self.WARNING)
+
+    @pytest.mark.parametrize("value", ["basic_format", "chatty", ""])
+    def test_unknown_level_name_means_warning(self, value, monkeypatch):
+        # BASIC_FORMAT is a logging attribute but no level
+        monkeypatch.setenv("BIRAT_LOG", value)
+        assert run_cli(self.ARGV)[::2] == (0, self.WARNING)
+
+
+class TestLVFamilyGoldenBytes:
+    """sha256 of ``integrate --method lv-family`` output over 5,000 steps, more than
+    one BLOCK of rows, from the default x0: a change to the bits of the lv step
+    shows here."""
+
+    SHA256 = {
+        ("KAHAN", "csv", "0.1"): "8578e70b3b0429ab9cd941d8611b750a0a13d773748b036a80953bf1fd6f9d7c",
+        ("KAHAN", "csv", "-0.1"): "b073d3d996cf81b8e7ddded65e0a0461e230590ec2f9f9798087b639c0f5e0c7",
+        ("KAHAN", "json", "0.1"): "a15f26c3ca3a637bfb7b741e977812b6ebb8bfa7b80ad320aeaf1b1736945250",
+        ("KAHAN", "json", "-0.1"): "db3fc58bae205d7543c5de0c9260babbddb9ebd26ebf6e147bd38e5eb47fc4e0",
+        ("MICKENS", "csv", "0.1"): "721b2f8e4015a17d23c778c6aed969a5951ca84c1a0ab6d83e6aefeaf87d47f7",
+        ("MICKENS", "csv", "-0.1"): "a3f3039cc916058ad35066e1535510a4cc3b46e79c07d3659f8df17fe00fedc9",
+        ("MICKENS", "json", "0.1"): "ac9718678184f0bc4f5ecf8fe429fe1e20dc73132e2733cab02871b7629ac329",
+        ("MICKENS", "json", "-0.1"): "4822502b292c63d7accd802f77c3b616db98a4a5c11e67002aabb3bc4bc67d1d",
+        ("CASE_VI", "csv", "0.1"): "70e74a1df814157b363685c60dc9ee7fed5b5f492bb6644beaddf8a2f079ac55",
+        ("CASE_VI", "csv", "-0.1"): "67c0d063bb0c201d0e9813c6df9229a14c594daa2f590aa8ef87ed17fe7c6977",
+        ("CASE_VI", "json", "0.1"): "33fdcd9e0b8ed815095627e005b16740323ef0981abca44eef9347d5ed80f97c",
+        ("CASE_VI", "json", "-0.1"): "0715ef0d8922f3f05cda7d1035bcaee6e1b6793ca927c4195504f7984daefe22",
+    }
+    PARAMS = {"KAHAN": KAHAN, "MICKENS": MICKENS, "CASE_VI": CASE_VI}
+
+    @pytest.mark.parametrize("scheme, fmt, h", list(SHA256), ids="-".join)
+    def test_output_bytes_pinned(self, scheme, fmt, h):
+        steps = 5000
+        assert steps > cli.BLOCK
+        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                  "--params", self.PARAMS[scheme], "--h", h,
+                                  "--steps", str(steps), "--format", fmt])
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[scheme, fmt, h]
+
+
 # -- the CLI contract as one property ------------------------------------------------
 
-KAHAN = "1/2,0,0,1/2,1/2,1/2,0,0,1/2,1/2"
-CASE_VI = "1/2,0,3/2,-1/2,0,1/2,4/5,0,1/5,0"
 FORWARD_ONLY = "1/2,1/2,0,0,1/2,1/2,1/2,0,1/2,0"  # a forward order, none for its inverse
 
 # Flag texts a run can succeed with (GOOD) and near misses (BAD).  x0 and params
@@ -967,6 +1033,7 @@ _BAD = {
     "schnakenberg": ["a=0.2"],
     "lv": ["a=1"],
 }
+CLASSIFY_HUGE = "1e3000000,1,0,0,0,1/2,0,0,1/2,1/2"
 _X0 = {"enzyme3": "1,0.2,0", "enzyme4": "1,0.01,0,0", "lv": "2,0.5", "schnakenberg": "0.6,1.4"}
 # One JSON value of each type.  Integers stay below 51 and texts are two characters
 # of an alphabet with no "/", so no draw runs more than 50 steps and an output name
@@ -1092,3 +1159,10 @@ class TestCliContract:
         argv = ["verify", suite, *([] if seed is None else [f"--seed={seed}"]),
                 *([] if tol is None else [f"--tol={tol}"])]
         _assert_contract(argv)
+
+    @settings(max_examples=30, deadline=None)
+    @given(params=st.sampled_from(_GOOD["lv-family"] + _BAD["lv-family"]
+                                  + [CLASSIFY_HUGE, "1/0,0,0,0,1,0,0,0,0,1", "x", ""]),
+           certify=st.booleans())
+    def test_classify(self, params, certify):
+        _assert_contract(["classify", params, *(["--certify"] if certify else [])])

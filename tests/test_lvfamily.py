@@ -43,6 +43,7 @@ from birat.lvfamily import (
     lv_hamiltonian,
     lv_inverse_step,
     lv_step,
+    lv_stepper,
     random_case_params,
     random_noncase_params,
     random_symplectic_params,
@@ -917,3 +918,77 @@ class TestSymplecticResidualAgainstExact:
             assert abs(Fraction(symplectic_residual(p, x, y, h)) - exact) <= bounded.e, \
                 (x, y, h)
             assert bounded.e <= 1e-10  # the bound itself is informative
+
+
+def _reference_lv_step(p, x, y, h, tol=DEFAULT_STEP_TOL):
+    """The lv step with every coefficient from _relation_coeffs at each call: the
+    reference that lv_stepper's bound step and lv_step must match bit for bit."""
+    order = p.elimination_order
+    if order is None:
+        raise NotBirational("no elimination is linear for this parameter set")
+    x, y, h = float(x), float(y), float(h)
+    c1, u1, v1, uv1, c2, u2, v2, uv2 = _relation_coeffs(p.as_floats, x, y, h, 1.0)
+    if order == "xt":
+        u1, v1, u2, v2 = v1, u1, v2, u2
+    s1 = u1 * v2 + uv1 * c2 - u2 * v1 - uv2 * c1
+    s0 = u1 * c2 - u2 * c1
+    if abs(s1) <= tol * (abs(s0) + 1.0):
+        raise DegenerateLinearTerm(f"linear coefficient {s1} too small, map undefined here")
+    s = -s0 / s1
+    num, den = c1 + v1 * s, u1 + uv1 * s
+    if not abs(den) > tol * (abs(num) + 1.0):
+        num, den = c2 + v2 * s, u2 + uv2 * s
+        if not abs(den) > tol * (abs(num) + 1.0):
+            raise DegenerateLinearTerm("both recovery denominators vanish")
+    r = -num / den
+    return (r, s) if order == "yt" else (s, r)
+
+
+def _outcome(step, *args):
+    """The step's floats as hex, so the sign of zero counts, or its exception's type and text."""
+    try:
+        return tuple(v.hex() for v in step(*args))
+    except Exception as exc:  # noqa: BLE001 -- any exception must match in type and text
+        return type(exc), str(exc)
+
+
+@st.composite
+def _scheme(draw):
+    """A template member, its inverse, a named scheme or a set with no order."""
+    kind = draw(st.sampled_from(["member", "inverse", "named", "no-order"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "named":
+        return draw(st.sampled_from([KAHAN_SCHEME, MICKENS_SCHEME, CASE_VI_SCHEME]))
+    if kind == "no-order":
+        return draw(st.sampled_from([QUARTERS, random_noncase_params(rng)]))
+    p = random_case_params(draw(st.sampled_from(CASE_LABELS)), rng)
+    return p.inverse if kind == "inverse" else p
+
+
+_coordinate = st.floats(-1e6, 1e6)
+_step_size = st.builds(lambda size, sign: sign * size,
+                       st.sampled_from([0.01, 0.1, 0.37, 1.0, 3.0]) | st.floats(1e-6, 10.0),
+                       st.sampled_from([1.0, -1.0]))
+# CASE_VI_SCHEME's pole line p2 = 0 is x = 52.5 at h = 0.1
+_near_pole = st.tuples(st.just(CASE_VI_SCHEME), st.floats(52.4999, 52.5001), _coordinate,
+                       st.sampled_from([0.1, -0.1]))
+
+
+class TestBoundStepOracle:
+    """lv_stepper's bound step and lv_step give the floats, bit for bit, or the
+    exception, of the body that formed every coefficient at each call."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=st.tuples(_scheme(), _coordinate, _coordinate, _step_size) | _near_pole,
+           tol=st.sampled_from([DEFAULT_STEP_TOL, 0.0, 1e-15, 1e-6, 0.5]))
+    def test_same_bits_or_same_error(self, case, tol):
+        p, x, y, h = case
+        expected = _outcome(_reference_lv_step, p, x, y, h, tol)
+        assert _outcome(lv_step, p, x, y, h, tol) == expected
+        try:
+            step = lv_stepper(p, h, tol)
+        except NotBirational as exc:
+            assert expected == (NotBirational, str(exc))
+            return
+        assert _outcome(step, (x, y)) == expected
+        assert _outcome(step, np.array([x, y])) == expected  # a float array state
