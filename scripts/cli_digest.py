@@ -38,7 +38,11 @@ script's path and `name=sha256` for every CSV file it wrote, by name.
 
 Appended after the scripts: the all-1/4 set, which has no linear
 elimination, to `integrate --method lv-family` by flag and by config file,
-and a Mickens config file with `"tol": Infinity`.
+and a Mickens config file with `"tol": Infinity`; then three backward
+Schnakenberg runs, in CSV and JSON, whose closed-form step hands the driver
+tuples and which stop at a map failure: `--h -5` at a non-finite state (step
+836), `--h -2` at a vanishing denominator (step 14) and `--h -50` at a
+non-finite state after more than two blocks of states (step 8798).
 """
 import argparse
 import hashlib
@@ -153,6 +157,12 @@ APPENDED = (
                              "params": QUARTERS})),
     (FROM_STDIN, json.dumps({"model": "lv", "method": "lv-family", "h": 0.1, "steps": 10,
                              "params": MICKENS, "tol": math.inf})),
+    # the closed-form Schnakenberg step returns tuples: NonFiniteState at step 836,
+    # DenominatorVanishes at step 14, and NonFiniteState at step 8798, inside the
+    # third block of driver.BLOCK states
+    *((["integrate", "--model", "schnakenberg", "--method", "schnakenberg", "--h", h,
+        "--steps", "10000", "--format", fmt], None)
+      for h in ("-5", "-2", "-50") for fmt in ("csv", "json")),
 )
 
 

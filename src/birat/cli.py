@@ -24,7 +24,6 @@ from .ratpoly import parse_rational
 log = logging.getLogger("birat.cli")
 
 FMT = "%.17g"
-BLOCK = 4096  # output rows formatted and written at a time
 
 # the keys of verify.SUITES, which the parser names without loading numpy
 SUITE_NAMES = ("conservation", "symplectic", "roundtrip", "convergence", "multipliers")
@@ -321,20 +320,15 @@ def cmd_integrate(args) -> int:
                           f" {cfg.model}, got {len(x0)}")
 
     stepper = _make_stepper(cfg, params)
-    row, sep = _row_template(cfg.format, len(names))
+    dim, h = len(names), cfg.h
+    row, sep = _row_template(cfg.format, dim)
     try:
         sink = nullcontext(sys.stdout) if cfg.output in (None, "-") else open(cfg.output, "w")
     except OSError as exc:
         raise ConfigError(f"output: {exc}") from exc
-    flat: list[float] = []  # (t, *state) of the rows not yet written
     rows = 0
     error = None
     with sink as out:
-
-        def flush(n: int) -> None:  # write the last n rows, held in flat
-            out.write((sep if rows > n else "") + sep.join([row] * n) % tuple(flat))
-            flat.clear()
-
         if cfg.format == "csv":
             out.write("t," + ",".join(names) + "\n")
         else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
@@ -343,17 +337,18 @@ def cmd_integrate(args) -> int:
                 ", ".join(json.dumps(n) for n in names)))
         try:
             for values in orbit(stepper, x0, cfg.steps, names):
+                n = len(values) // dim
+                flat = [0.0] * (n * (dim + 1))  # (t, *state) of each row
                 # row 0 prints 0, not the -0 that 0 * h gives for a negative h
-                flat.append(rows * cfg.h or 0.0)
-                flat += values
-                rows += 1
-                if rows % BLOCK == 0:
-                    flush(BLOCK)
+                flat[::dim + 1] = [k * h or 0.0 for k in range(rows, rows + n)]
+                for j in range(dim):
+                    flat[j + 1::dim + 1] = values[j::dim]
+                out.write((sep if rows else "") + sep.join([row] * n) % tuple(flat))
+                rows += n
         except BiratError as exc:
             error = {"step": rows, "type": type(exc).__name__, "message": str(exc)}
-            log.error("map failure at step %d: %s", rows, exc)
-        if flat:
-            flush(rows % BLOCK)
+            if cfg.format == "json":  # CSV reports it once, in the line below
+                log.error("map failure at step %d: %s", rows, exc)
         if cfg.format == "json":
             tail = "" if error is None else ', "error": ' + json.dumps(error, sort_keys=True)
             out.write("]" + tail + "}\n")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,7 +41,9 @@ def iterate_map(step, x0, steps: int) -> np.ndarray:
     into the result."""
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    return np.fromiter(orbit(step, x0, steps), dtype=(float, np.size(x0)), count=steps + 1)
+    dim = np.size(x0)
+    values = chain.from_iterable(orbit(step, x0, steps))
+    return np.fromiter(values, float, count=(steps + 1) * dim).reshape(steps + 1, dim)
 
 
 def _trend(values, h: float) -> float:
@@ -85,7 +88,8 @@ def convergence_order(step_family, x0, T: float, h_list) -> float:
     exact solution.  Step sizes that end at the same time share one reference
     run, so ``step_family`` must be a pure function of its arguments.  Only
     the end states matter, so the runs are plain loops: through
-    :func:`iterate_map` they give the same bits 1.5-2 us per step slower.
+    :func:`iterate_map` they give the same bits up to 0.8 us per step slower
+    (on 5-11 us steps, 2 cores, Python 3.11).
     """
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     hs = sorted(set(float(h) for h in h_list), reverse=True)

@@ -30,7 +30,7 @@ SINGULAR_TOL = 1e-12  # smallest LU pivot accepted, relative to the step matrix'
 
 @lru_cache(maxsize=None)
 def _dense_lu_routines():
-    """LAPACK dgetrf/dgetrs, from scipy's ``_flapack`` extension alone, at the first solve.
+    """LAPACK dgesv/dgetrs, from scipy's ``_flapack`` extension alone, at the first solve.
 
     The extension stays out of ``sys.modules`` until ``scipy.linalg`` imports
     it.  Any failure of this direct load falls back to ``scipy.linalg``.
@@ -44,11 +44,11 @@ def _dense_lu_routines():
             flapack = module_from_spec(spec)
             spec.loader.exec_module(flapack)
             sys.modules.pop(name, None)
-        return flapack.dgetrf, flapack.dgetrs
+        return flapack.dgesv, flapack.dgetrs
     except (ImportError, AttributeError, OSError):  # extension missing or unloadable
         import scipy.linalg as sla
 
-        return tuple(sla.get_lapack_funcs(("getrf", "getrs"), dtype=float))
+        return tuple(sla.get_lapack_funcs(("gesv", "getrs"), dtype=float))
 
 
 @lru_cache(maxsize=None)
@@ -62,22 +62,25 @@ def _identity(dim: int) -> np.ndarray:
 def _solve_step_matrix(M, rhs, tol: float, what: str, h: float) -> np.ndarray:
     """Solve M z = rhs by partial-pivot LU, with a pivot-size singularity check.
 
-    M and rhs are float64.  Errors are reported as "<what> at h=<h>: ..."; the
-    text is only built when a solve fails.
+    M and rhs are float64.  One gesv call factors and solves; it runs the
+    getrf and getrs of the two-call form, so z has the same bits.  Errors are
+    reported as "<what> at h=<h>: ..."; the text is only built when a solve
+    fails.
     """
-    getrf, getrs = _dense_lu_routines()
-    lu, piv, info = getrf(M)
+    gesv, getrs = _dense_lu_routines()
+    lu, piv, z, info = gesv(M, rhs)
     if info < 0:
-        raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrf")
+        raise ValueError(f"{what} at h={h}: illegal argument {-info} to gesv")
     # info > 0 flags an exactly zero pivot, which the check below rejects.  Python
     # floats beat numpy reductions here; a NaN passes, as with np.min and np.max.
     entries, pivots = M.ravel().tolist(), lu.diagonal().tolist()
     if (min(map(abs, pivots)) <= tol * max(map(abs, entries))
             and not any(map(isnan, entries + pivots))):
         raise SingularStepMatrix(f"{what} at h={h}: pivot below {tol} of matrix max-norm")
-    z, info = getrs(lu, piv, rhs)
-    if info != 0:
-        raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrs")
+    if info > 0:  # a zero pivot beside a NaN: gesv left z unsolved, so solve as getrs does
+        z, info = getrs(lu, piv, rhs)
+        if info != 0:
+            raise ValueError(f"{what} at h={h}: illegal argument {-info} to getrs")
     return z
 
 
@@ -95,7 +98,7 @@ def _kahan_solve(vf: QuadraticVectorField, x, step_h: float, h: float,
     """
     _check_h(h)
     x = _as_state(x, vf.dim)
-    f, J = vf.evaluate_and_jacobian(x)
+    f, J = vf._evaluate_and_jacobian(x)
     # a 0-d array takes numpy's array path, cheaper than its Python-scalar one
     M = _identity(vf.dim) - np.array(0.5 * step_h) * J
     return x + np.array(step_h) * _solve_step_matrix(M, f, SINGULAR_TOL, what, h)
@@ -121,7 +124,7 @@ def kahan_step_series(vf: QuadraticVectorField, x, h: float, order: int) -> np.n
     if order < 0:
         raise ValueError("series_order must be nonnegative")
     x = _as_state(x, vf.dim)
-    f, J = vf.evaluate_and_jacobian(x)
+    f, J = vf._evaluate_and_jacobian(x)
     acc = term = f
     half_h = 0.5 * h
     for _ in range(order):

@@ -83,7 +83,10 @@ class QuadraticVectorField:
         The two share the one contraction quad @ x.  np.dot (on 2-D operands
         only) and qx + qx give the bits of @ and 2.0 * qx, at less cost.
         """
-        x = _as_state(x, self.dim)
+        return self._evaluate_and_jacobian(_as_state(x, self.dim))
+
+    def _evaluate_and_jacobian(self, x):
+        """:meth:`evaluate_and_jacobian` of a state that ``_as_state`` has already checked."""
         qx = self.quad @ x
         return self.c0 + np.dot(self.lin, x) + np.dot(qx, x), self.lin + (qx + qx)
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from birat import cli, verify
+from birat import cli, driver, verify
 from birat.cli import main
 from birat.errors import SingularStepMatrix
 from birat.kahan import kahan_step_series
@@ -368,8 +368,10 @@ class TestIntegrateRuntimeFailure:
         assert doc["error"]["message"]
 
 
-# what the run that overflows at step 11 logs, in both formats, before any other stderr
+# what the run that overflows at step 11 logs in JSON mode, whose stdout carries the
+# error trailer; CSV mode reports the failure once, in FAILURE_CSV_LINE
 FAILURE_LOG_LINE = "ERROR birat.cli: map failure at step 11: non-finite value in x, y\n"
+FAILURE_CSV_LINE = "integrate: NonFiniteState: non-finite value in x, y (step 11)\n"
 
 
 class TestNonFiniteState:
@@ -404,8 +406,7 @@ class TestNonFiniteState:
             code, out, err = run_cli(self.ARGV)
         assert code == 2
         assert len(out.splitlines()) == 1 + 11
-        assert err == (FAILURE_LOG_LINE
-                       + "integrate: NonFiniteState: non-finite value in x, y (step 11)\n")
+        assert err == FAILURE_CSV_LINE
 
 
 def _oracle_text(fmt, method, h, states, error=None):
@@ -422,7 +423,8 @@ def _oracle_text(fmt, method, h, states, error=None):
 
 
 class TestStreamedOutput:
-    """Rows are written in blocks of cli.BLOCK; the bytes must not depend on where blocks end."""
+    """Rows are written in blocks of driver.BLOCK states; the bytes must not depend on where
+    blocks end."""
 
     H = -0.01  # a backward run, so row 0 also checks the 0-not--0 rule
 
@@ -437,7 +439,7 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("dest", ["stdout", "file"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("steps", [cli.BLOCK - 1, cli.BLOCK, 2 * cli.BLOCK + 1],
+    @pytest.mark.parametrize("steps", [driver.BLOCK - 1, driver.BLOCK, 2 * driver.BLOCK + 1],
                              ids=["block-1", "block", "2block+1"])
     def test_matches_per_row_oracle(self, steps, fmt, dest, tmp_path):
         states = [(2.0, 0.5)]
@@ -466,16 +468,16 @@ class TestStreamedOutput:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("block", [4, 11, 1], ids=["mid-block", "at-boundary", "one-row"])
     def test_failure_writes_partial_output(self, block, fmt, dest, tmp_path, monkeypatch):
-        # 11 rows: two blocks of 4 and 3 rows held; or one full block of 11 and none held
-        monkeypatch.setattr(cli, "BLOCK", block)
+        # 11 rows: blocks of 4 and 4, then the 3 states before the bad one; or one full
+        # block of 11, then a block that fails at its first state; or 11 blocks of one
+        monkeypatch.setattr(driver, "BLOCK", block)
         states = self._failing_states()
         assert len(states) == 11
         code, text, err = self._run(self.FAILING, fmt, dest, tmp_path)
         assert code == 2
         error = {"step": 11, "type": "NonFiniteState", "message": "non-finite value in x, y"}
         if fmt == "csv":
-            assert err == (FAILURE_LOG_LINE
-                           + "integrate: NonFiniteState: non-finite value in x, y (step 11)\n")
+            assert err == FAILURE_CSV_LINE
             assert text == _oracle_text(fmt, "euler", 0.9, states)
         else:
             assert err == FAILURE_LOG_LINE
@@ -967,7 +969,7 @@ class TestInProcessLogging:
 
 class TestLVFamilyGoldenBytes:
     """sha256 of ``integrate --method lv-family`` output over 5,000 steps, more than
-    one BLOCK of rows, from the default x0: a change to the bits of the lv step
+    one driver.BLOCK of states, from the default x0: a change to the bits of the lv step
     shows here."""
 
     SHA256 = {
@@ -989,7 +991,7 @@ class TestLVFamilyGoldenBytes:
     @pytest.mark.parametrize("scheme, fmt, h", list(SHA256), ids="-".join)
     def test_output_bytes_pinned(self, scheme, fmt, h):
         steps = 5000
-        assert steps > cli.BLOCK
+        assert steps > driver.BLOCK
         code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
                                   "--params", self.PARAMS[scheme], "--h", h,
                                   "--steps", str(steps), "--format", fmt])

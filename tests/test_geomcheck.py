@@ -1,9 +1,16 @@
 """Orbit diagnostics: drift, verdicts, convergence, crossings."""
+import contextlib
+import math
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from birat import driver
 from birat.errors import NonFiniteState, NotASteadyState, SingularStepMatrix
 from birat.geomcheck import (
     DECAYING,
@@ -81,25 +88,116 @@ class TestIterateMap:
             iterate_map(lambda s: s * 1e300, [1e10, 1.0], 5)
 
 
+def reference_orbit(step, x0, steps, names=None):
+    """The driver as it stepped one state at a time, each state checked and yielded
+    alone: the oracle of :func:`orbit`'s blocks."""
+    np_ = sys.modules.get("numpy")
+    if np_ is None:
+        x, arrays, quiet = [float(v) for v in x0], (), contextlib.nullcontext()
+    else:
+        x, arrays = np_.asarray(x0, dtype=float), np_.ndarray
+        quiet = np_.errstate(over="ignore", invalid="ignore")
+    with quiet:
+        for k in range(steps + 1):
+            if k:
+                x = step(x)
+            values = x.tolist() if isinstance(x, arrays) else [float(v) for v in x]
+            if not all(map(math.isfinite, values)):
+                bad = [str(i if names is None else names[i])
+                       for i, v in enumerate(values) if not math.isfinite(v)]
+                raise NonFiniteState(f"non-finite value in {', '.join(bad)}")
+            yield values
+
+
+def _run_to_end(generator):
+    """(the lists it yielded, the exception that ended it or None)."""
+    out = []
+    try:
+        for values in generator:
+            out.append(values)
+    except Exception as exc:
+        return out, exc
+    return out, None
+
+
+# what a drawn step returns at step k: the type of its state, drawn per run
+STATE_TYPES = {
+    "list": lambda k, values: list(values),
+    "tuple": lambda k, values: tuple(values),
+    "array": lambda k, values: np.array(values),
+    # arrays and tuples in turn, so a block holds both and may end on either
+    "mixed": lambda k, values: np.array(values) if k % 2 else tuple(values),
+}
+
+
+@st.composite
+def drawn_runs(draw):
+    """(block, x0, steps, make_step, names): a step that returns drawn states of a drawn
+    type, with a non-finite state and a BiratError each at a drawn step or never."""
+    dim = draw(st.integers(1, 3))
+    steps = draw(st.integers(0, 30))
+    values = st.floats(-1e6, 1e6, allow_nan=False)
+    states = draw(st.lists(st.lists(values, min_size=dim, max_size=dim),
+                           min_size=steps + 1, max_size=steps + 1))
+    at = st.one_of(st.none(), st.integers(1, max(steps, 1)))
+    bad_at, raise_at = draw(at), draw(at)
+    if bad_at is not None:
+        bad = draw(st.lists(st.integers(0, dim - 1), min_size=1, unique=True))
+        for i in bad:
+            states[bad_at % len(states)][i] = draw(st.sampled_from([math.inf, -math.inf,
+                                                                    math.nan]))
+        if draw(st.booleans()):  # and the state after it non-finite in every component
+            states[(bad_at + 1) % len(states)] = [math.nan] * dim
+    if bad_at is not None and raise_at is None and draw(st.booleans()):
+        raise_at = bad_at + 1  # a non-finite state, then a step that raises
+    make = STATE_TYPES[draw(st.sampled_from(sorted(STATE_TYPES)))]
+    x0 = draw(st.sampled_from([list, tuple, np.array]))(states[0])
+    names = draw(st.sampled_from([None, ("x", "y", "z")[:dim]]))
+
+    def make_step():
+        k = 0
+
+        def step(state):
+            nonlocal k
+            k += 1
+            if k == raise_at:
+                raise SingularStepMatrix(f"drawn failure at step {k}")
+            return make(k, states[k % len(states)])
+        return step
+
+    return draw(st.integers(1, 7)), x0, steps, make_step, names
+
+
 class TestOrbit:
+    @staticmethod
+    def _blocks_lazily(block, *args, **kwargs):
+        with mock.patch.object(driver, "BLOCK", block):
+            yield from orbit(*args, **kwargs)
+
+    def _blocks(self, block, *args, **kwargs):
+        return list(self._blocks_lazily(block, *args, **kwargs))
+
     def test_yields_lists_of_floats(self):
-        states = list(orbit(lambda s: (s[0] + s[1], s[1]), (0, 1), 3))
-        assert states == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
-        assert all(type(v) is float for state in states for v in state)
+        step = lambda s: (s[0] + s[1], s[1])
+        assert self._blocks(4096, step, (0, 1), 3) == [[0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0]]
+        blocks = self._blocks(3, step, (0, 1), 3)
+        assert blocks == [[0.0, 1.0, 1.0, 1.0, 2.0, 1.0], [3.0, 1.0]]
+        assert all(type(v) is float for block in blocks for v in block)
 
     def test_step_gets_its_own_return_value_back(self):
-        received, returned = [], []
+        for block in (1, 2, 4096):
+            received, returned = [], []
 
-        def step(s):
-            received.append(s)
-            returned.append((s[0] + s[1], s[1]))
-            return returned[-1]
+            def step(s):
+                received.append(s)
+                returned.append((s[0] + s[1], s[1]))
+                return returned[-1]
 
-        states = list(orbit(step, [0.0, 1.0], 3))
-        assert states == [[0.0, 1.0], [1.0, 1.0], [2.0, 1.0], [3.0, 1.0]]
-        assert isinstance(received[0], np.ndarray) and received[0].dtype == float
-        assert len(received) == 3
-        assert all(got is sent for got, sent in zip(received[1:], returned))
+            blocks = self._blocks(block, step, [0.0, 1.0], 3)
+            assert sum(blocks, []) == [0.0, 1.0, 1.0, 1.0, 2.0, 1.0, 3.0, 1.0]
+            assert isinstance(received[0], np.ndarray) and received[0].dtype == float
+            assert len(received) == 3
+            assert all(got is sent for got, sent in zip(received[1:], returned))
 
     def test_non_finite_tuple_component_is_named(self):
         with warnings.catch_warnings():
@@ -127,13 +225,45 @@ class TestOrbit:
         assert str(info.value) == "non-finite value in x, y"
 
     def test_yields_k_plus_one_states_before_failing_at_step_k_plus_one(self):
-        # 1, 1e100, 1e200, 1e300 are finite; step 4 overflows
-        seen = []
-        with pytest.raises(NonFiniteState):
-            for state in orbit(lambda s: s * 1e100, [1.0, -1.0], 10):
-                seen.append(state)
-        assert len(seen) == 4
-        assert seen[-1] == [1e300, -1e300]
+        # 1, 1e100, 1e200, 1e300 are finite; step 4 overflows, in the first block or
+        # as the first state of the second
+        for block, sizes in ((4096, [8]), (3, [6, 2]), (4, [8])):
+            seen, exc = _run_to_end(self._blocks_lazily(block, lambda s: s * 1e100,
+                                                        [1.0, -1.0], 10))
+            assert type(exc) is NonFiniteState
+            assert [len(values) for values in seen] == sizes
+            assert sum(seen, [])[-2:] == [1e300, -1e300]
+
+    def test_steps_past_a_non_finite_state_are_not_reported(self):
+        # step 2 leaves the finite range; in the same block step 3 runs on its state and
+        # raises, and that error gives way to the non-finite state before it
+        calls = []
+
+        def step(s):
+            calls.append(s)
+            if not all(map(math.isfinite, s)):
+                raise SingularStepMatrix("stepped from a non-finite state")
+            return (s[0] * 1e200,)
+
+        blocks, exc = _run_to_end(self._blocks_lazily(6, step, [1.0], 10, names=("x",)))
+        assert blocks == [[1.0, 1e200]]
+        assert type(exc) is NonFiniteState and str(exc) == "non-finite value in x"
+        assert len(calls) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn_runs())
+    def test_blocks_match_per_state_reference(self, run):
+        block, x0, steps, make_step, names = run
+        with mock.patch.object(driver, "BLOCK", block):
+            blocks, exc = _run_to_end(orbit(make_step(), x0, steps, names))
+        states, expected_exc = _run_to_end(reference_orbit(make_step(), x0, steps, names))
+        assert sum(blocks, []) == sum(states, [])
+        assert all(type(v) is float for values in blocks for v in values)
+        assert (type(exc), str(exc)) == (type(expected_exc), str(expected_exc))
+        # every block but the last holds BLOCK states
+        dim = len(x0)
+        assert all(len(values) == block * dim for values in blocks[:-1])
+        assert all(0 < len(values) <= block * dim for values in blocks)
 
 
 class TestConservationDrift:

@@ -303,8 +303,8 @@ class TestPivotCheck:
     @example(np.array([[5e307, -5e307, 0.0], [-np.inf, np.inf, 0.0], [0.0, -0.05, 1.0]]),
              1e-12)
     def test_verdict_matches_numpy_reductions(self, M, tol):
-        getrf, _ = kahan._dense_lu_routines()
-        lu, _, _ = getrf(M)
+        gesv, _ = kahan._dense_lu_routines()
+        lu, _, _, _ = gesv(M, np.ones(len(M)))
         expected = np.abs(lu.diagonal()).min() <= tol * np.abs(M).max()
         try:
             kahan._solve_step_matrix(M, np.ones(len(M)), tol, "step matrix", 0.1)
@@ -312,6 +312,42 @@ class TestPivotCheck:
             assert expected
         else:
             assert not expected
+
+
+class TestOneCallSolve:
+    """One gesv call gives the bits of getrf followed by getrs."""
+
+    @staticmethod
+    def _two_call_solve(M, rhs):
+        import scipy.linalg as sla
+
+        getrf, getrs = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)
+        lu, piv, _ = getrf(M)
+        return getrs(lu, piv, rhs)[0]
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        arrays(float, (n, n), elements=st.floats(-1e3, 1e3)),
+        arrays(float, (n,), elements=st.floats(-1e3, 1e3)))))
+    def test_same_bits_as_getrf_then_getrs(self, system):
+        M, rhs = system
+        try:
+            z = kahan._solve_step_matrix(M, rhs, kahan.SINGULAR_TOL, "step matrix", 0.1)
+        except SingularStepMatrix:
+            return
+        assert z.tobytes() == self._two_call_solve(M, rhs).tobytes()
+
+    def test_zero_pivot_beside_nan_is_solved_by_getrs(self):
+        # the first column is zero, so gesv stops at pivot 1 (info = 1) and leaves the
+        # right-hand side unsolved; the NaN lets the matrix through the pivot check
+        M = np.array([[0.0, 1.0, 2.0], [0.0, np.nan, 1.0], [0.0, 3.0, 4.0]])
+        rhs = np.array([1.0, 2.0, 3.0])
+        gesv, _ = kahan._dense_lu_routines()
+        assert gesv(M, rhs)[3] == 1
+        with np.errstate(all="ignore"):
+            z = kahan._solve_step_matrix(M, rhs, kahan.SINGULAR_TOL, "step matrix", 0.1)
+            expected = self._two_call_solve(M, rhs)
+        assert z.tobytes() == expected.tobytes()
+        assert not np.array_equal(z, rhs, equal_nan=True)
 
 
 class TestLapackRoutines:
@@ -323,7 +359,7 @@ class TestLapackRoutines:
                 "routines = kahan._dense_lu_routines()\n"
                 "assert not any(m.startswith('scipy.linalg') for m in sys.modules)\n"
                 "import scipy.linalg as sla\n"
-                "expected = sla.get_lapack_funcs(('getrf', 'getrs'), dtype=float)\n"
+                "expected = sla.get_lapack_funcs(('gesv', 'getrs'), dtype=float)\n"
                 "print([a is b for a, b in zip(routines, expected)])\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
@@ -350,7 +386,7 @@ class TestLapackRoutines:
             fallback = iterate_map(lambda s: kahan_step(vf, s, 0.1), x0, 50)
         finally:
             kahan._dense_lu_routines.cache_clear()
-        expected = sla.get_lapack_funcs(("getrf", "getrs"), dtype=float)
+        expected = sla.get_lapack_funcs(("gesv", "getrs"), dtype=float)
         assert failed == ["scipy.linalg._flapack"]
         assert all(a is b for a, b in zip(routines, expected))
         assert direct.tobytes() == fallback.tobytes()
