@@ -42,7 +42,11 @@ and a Mickens config file with `"tol": Infinity`; then three backward
 Schnakenberg runs, in CSV and JSON, whose closed-form step hands the driver
 tuples and which stop at a map failure: `--h -5` at a non-finite state (step
 836), `--h -2` at a vanishing denominator (step 14) and `--h -50` at a
-non-finite state after more than two blocks of states (step 8798).
+non-finite state after more than two blocks of states (step 8798).  Last,
+settings that only the run configuration checks, each refused in one
+`birat: error:` line: `--model pendulum`, `--format xml`, `--steps 2.5`,
+`verify roundtrip --seed x`, and config files with `"h": true` and with
+`"x0": [NaN, 1]`.
 """
 import argparse
 import hashlib
@@ -163,6 +167,13 @@ APPENDED = (
     *((["integrate", "--model", "schnakenberg", "--method", "schnakenberg", "--h", h,
         "--steps", "10000", "--format", fmt], None)
       for h in ("-5", "-2", "-50") for fmt in ("csv", "json")),
+    *((["integrate", "--model", model, "--method", "kahan", "--h", "0.1", "--steps", steps,
+        *extra], None)
+      for model, steps, extra in (("pendulum", "2", []), ("lv", "2", ["--format", "xml"]),
+                                  ("lv", "2.5", []))),
+    (["verify", "roundtrip", "--seed", "x"], None),
+    *((FROM_STDIN, json.dumps({"model": "lv", "method": "kahan", "h": 0.1, "steps": 2, **bad}))
+      for bad in ({"h": True}, {"x0": [math.nan, 1]})),
 )
 
 

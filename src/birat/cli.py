@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from .driver import orbit
-from .errors import BiratError, ConstraintViolation
+from .errors import BiratError
 from .lvfamily import DEFAULT_STEP_TOL, LVParams, classify_params, lv_stepper
 from .models import MODELS, model_vector_field, schnakenberg_step, schnakenberg_vf
 from .ratpoly import parse_rational
@@ -32,6 +32,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 EXIT_NEGATIVE = 3
+
+# integrate's settings: each is a flag and a key of the --config file, and a flag wins
+SETTINGS = ("model", "method", "params", "h", "steps", "x0", "output", "format", "tol")
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -63,24 +66,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _parse_float(text: str, what: str) -> float:
+def _config_float(value, what: str) -> float:
+    """A rational text, an integer or a finite JSON float; any other value is rejected."""
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{what}: must be finite")
+        return value
+    if not isinstance(value, (str, int)) or isinstance(value, bool):
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
+    text = str(value)
     try:
-        value = parse_rational(text)
+        number = parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{what}: cannot parse {text!r} as a number") from exc
     try:
-        return float(value)
+        return float(number)
     except OverflowError as exc:
         raise ConfigError(f"{what}: {text!r} is beyond the float range") from exc
-
-
-def _config_float(value, what: str) -> float:
-    """A JSON float as is, an integer or a string as a rational; any other type is rejected."""
-    if isinstance(value, str) or (isinstance(value, int) and not isinstance(value, bool)):
-        return _parse_float(str(value), what)
-    if isinstance(value, float):
-        return value
-    raise ConfigError(f"{what}: expected a number, got {value!r}")
 
 
 def _config_int(value, what: str) -> int:
@@ -98,17 +100,11 @@ def _config_int(value, what: str) -> int:
 
 
 def _config_tol(value) -> float:
-    """``tol`` as :func:`_config_float` reads it; it must be finite and nonnegative."""
+    """``tol`` as :func:`_config_float` reads it; it must be nonnegative."""
     tol = _config_float(value, "tol")
-    if not math.isfinite(tol):
-        raise ConfigError("tol: must be finite")
     if tol < 0.0:
         raise ConfigError("tol: must be nonnegative")
     return tol
-
-
-def _parse_state(text: str, what: str) -> list[float]:
-    return [_parse_float(tok, what) for tok in text.split(",")]
 
 
 def _parse_param_map(text: str) -> dict[str, str]:
@@ -119,6 +115,14 @@ def _parse_param_map(text: str) -> dict[str, str]:
         key, _, val = item.partition("=")
         out[key.strip()] = val.strip()
     return out
+
+
+def _read_scheme(tokens: Sequence[str]) -> LVParams:
+    """The ten family parameters from rational texts, exactly."""
+    try:
+        return LVParams.from_list([parse_rational(tok) for tok in tokens])
+    except (ValueError, ZeroDivisionError) as exc:  # ConstraintViolation is a ValueError
+        raise ConfigError(f"params: {exc}") from exc
 
 
 @dataclass
@@ -146,11 +150,9 @@ def _build_run_config(args) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config: expected a JSON object, got {type(loaded).__name__}")
         merged.update(loaded)
-    for key in ("model", "method", "h", "steps", "x0", "params",
-                "output", "format", "tol"):
-        val = getattr(args, key, None)
-        if val is not None:
-            merged[key] = val
+    for key in SETTINGS:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
 
     model = merged.get("model")
     if not isinstance(model, str) or model not in MODELS:
@@ -167,7 +169,7 @@ def _build_run_config(args) -> RunConfig:
     h_raw = merged.get("h")
     if h_raw is None:
         raise ConfigError("h: required")
-    h = _parse_float(str(h_raw), "h")
+    h = _config_float(h_raw, "h")
     if h == 0.0:
         raise ConfigError("h: must be nonzero")
 
@@ -205,25 +207,18 @@ def _build_run_config(args) -> RunConfig:
         else:
             raise ConfigError(f"params: expected 10 comma-separated rationals or a list,"
                               f" got {params_raw!r}")
-        try:
-            vals = [parse_rational(t) for t in toks]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
+        cfg.scheme = _read_scheme(toks)
         for tok in toks:  # the step runs on the float values
-            _parse_float(tok, "params")
-        try:
-            cfg.scheme = LVParams.from_list(vals)
-        except (ConstraintViolation, ValueError) as exc:
-            raise ConfigError(f"params: {exc}") from exc
+            _config_float(tok, "params")
         if cfg.scheme.elimination_order is None:
             raise ConfigError("params: no elimination is linear for this set,"
                               " so lv-family has no step for it")
     else:
-        pmap: dict[str, str] = {}
+        pmap: dict = {}
         if isinstance(params_raw, str) and params_raw:
             pmap = _parse_param_map(params_raw)
         elif isinstance(params_raw, dict):
-            pmap = {k: str(v) for k, v in params_raw.items()}
+            pmap = params_raw
         elif params_raw not in (None, ""):
             raise ConfigError(f"params: expected key=value text or an object,"
                               f" got {params_raw!r}")
@@ -236,19 +231,15 @@ def _build_run_config(args) -> RunConfig:
         if pmap and missing:
             raise ConfigError(f"params: missing {', '.join(missing)} for model {model}"
                               f" (required: {', '.join(required)})")
-        cfg.params = {k: _parse_float(v, f"params.{k}") for k, v in pmap.items()}
+        cfg.params = {k: _config_float(v, f"params.{k}") for k, v in pmap.items()}
 
     x0_raw = merged.get("x0")
-    if x0_raw is not None:
-        if isinstance(x0_raw, str):
-            cfg.x0 = _parse_state(x0_raw, "x0")
-        elif isinstance(x0_raw, list):
-            cfg.x0 = [_config_float(v, "x0") for v in x0_raw]
-        else:
-            raise ConfigError(f"x0: expected a list or a comma-separated string,"
-                              f" got {x0_raw!r}")
-        if not all(map(math.isfinite, cfg.x0)):
-            raise ConfigError("x0: components must be finite")
+    if isinstance(x0_raw, str):
+        x0_raw = x0_raw.split(",")
+    if isinstance(x0_raw, list):
+        cfg.x0 = [_config_float(v, "x0") for v in x0_raw]
+    elif x0_raw is not None:
+        raise ConfigError(f"x0: expected a list or a comma-separated string, got {x0_raw!r}")
     return cfg
 
 
@@ -359,11 +350,7 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        params = LVParams.from_list(parse_rational(tok) for tok in args.params.split(","))
-    except (ValueError, ZeroDivisionError) as exc:  # ConstraintViolation is a ValueError
-        raise ConfigError(f"params: {exc}") from exc
-    report = classify_params(params, certify=args.certify)
+    report = classify_params(_read_scheme(args.params.split(",")), certify=args.certify)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.birational_cases else EXIT_NEGATIVE
 
@@ -385,8 +372,9 @@ def cmd_verify(args) -> int:
     else:
         raise ConfigError(f"suite: unknown suite {args.suite!r}; choose from"
                           f" {', '.join([*verify.SUITES, 'all'])}")
-    if args.seed < 0:
-        raise ConfigError(f"seed: expected a non-negative integer, got {args.seed}")
+    seed = _config_int(args.seed, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed: expected a non-negative integer, got {seed}")
     tol = _config_tol(args.tol)
     workers = min(len(names), _usable_cpus())
     if workers > 1:
@@ -398,16 +386,16 @@ def cmd_verify(args) -> int:
 
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
-            futures = [pool.submit(verify.SUITES[name], args.seed, tol) for name in names]
+            futures = [pool.submit(verify.SUITES[name], seed, tol) for name in names]
             results = [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
     else:
         # a one-worker pool costs about 0.1 s and overlaps nothing
-        results = [verify.SUITES[name](args.seed, tol) for name in names]
+        results = [verify.SUITES[name](seed, tol) for name in names]
     checks = [check for result in results for check in result]
     passed = all(c["passed"] for c in checks)
-    print(json.dumps({"suite": args.suite, "seed": args.seed, "tol": tol,
+    print(json.dumps({"suite": args.suite, "seed": seed, "tol": tol,
                       "checks": checks, "passed": passed}, indent=2))
     return EXIT_OK if passed else EXIT_RUNTIME
 
@@ -419,15 +407,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_int = sub.add_parser("integrate", help="run a model and write the trajectory")
-    p_int.add_argument("--model", choices=sorted(MODELS))
-    p_int.add_argument("--method")
-    p_int.add_argument("--params")
-    p_int.add_argument("--h", dest="h")
-    p_int.add_argument("--steps", type=int)
-    p_int.add_argument("--x0")
-    p_int.add_argument("--output", "-o")
-    p_int.add_argument("--format", choices=("csv", "json"))
-    p_int.add_argument("--tol")
+    helps = {"model": f"one of {', '.join(sorted(MODELS))}", "format": "csv (default) or json"}
+    for key in SETTINGS:
+        p_int.add_argument(f"--{key}", *(["-o"] if key == "output" else []), help=helps.get(key))
     p_int.add_argument("--config")
     p_int.set_defaults(func=cmd_integrate)
 
@@ -440,7 +422,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("suite", help=f"one of {', '.join([*SUITE_NAMES, 'all'])}")
-    p_ver.add_argument("--seed", type=int, default=7)
+    p_ver.add_argument("--seed", default="7")
     p_ver.add_argument("--tol", default="1e-9")
     p_ver.set_defaults(func=cmd_verify)
     return parser

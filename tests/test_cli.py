@@ -200,11 +200,16 @@ class TestIntegrateConfigErrors:
         assert code == 1
         assert "steps" in err
 
-    def test_unknown_model_rejected_by_parser(self):
-        code, _, err = run_cli(["integrate", "--model", "pendulum", "--method",
-                                "kahan", "--h", "0.1", "--steps", "1"])
-        assert code == 1
-        assert "invalid choice" in err
+    @pytest.mark.parametrize("extra, message", [
+        (["--model", "pendulum"], f"model: expected one of {sorted(MODELS)}, got 'pendulum'"),
+        (["--model", "lv", "--format", "xml"], "format: expected csv or json, got 'xml'"),
+        (["--model", "lv", "--steps", "2.5"], "steps: expected an integer, got '2.5'"),
+    ], ids=["model", "format", "steps"])
+    def test_flag_text_read_as_config(self, extra, message):
+        # argparse takes these flags as text; the run configuration checks them
+        code, out, err = run_cli(["integrate", "--method", "kahan", "--h", "0.1",
+                                  "--steps", "1", *extra])
+        assert (code, out, err) == (1, "", f"birat: error: {message}\n")
 
     def test_x0_dimension_mismatch(self):
         code, _, err = run_cli(["integrate", "--model", "lv", "--method", "kahan",
@@ -656,12 +661,15 @@ class TestVerify:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("birat: error: seed: ")
-        # on the pool path too, the seed is refused before any worker starts
+        # on the pool path too, the seed is refused before any worker starts,
+        # and so is a seed that is no integer
         self._forbid_pool(monkeypatch)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         code, out, err = run_cli(["verify", suite, "--seed", "-1"])
         assert (code, out) == (1, "")
         assert err.startswith("birat: error: seed: ")
+        assert run_cli(["verify", suite, "--seed", "x"]) == (
+            1, "", "birat: error: seed: expected an integer, got 'x'\n")
         assert multiprocessing.active_children() == []
 
 
@@ -676,14 +684,13 @@ class TestConfigFile:
         assert len(lines) == 5
         assert lines[1].split(",")[1] == "1"
 
-    def test_non_finite_x0_rejected(self, tmp_path):
+    @pytest.mark.parametrize("field, text", [("x0", "[NaN, 1.0]"), ("h", "NaN")], ids=["x0", "h"])
+    def test_non_finite_number_rejected(self, tmp_path, field, text):
+        run = {"model": "lv", "method": "kahan", "h": 0.1, "steps": 3, field: None}
         cfg = tmp_path / "run.json"
-        cfg.write_text('{"model": "lv", "method": "kahan", "h": 0.1, "steps": 3,'
-                       ' "x0": [NaN, 1.0]}')
-        code, out, err = run_cli(["integrate", "--config", str(cfg)])
-        assert code == 1
-        assert out == ""
-        assert "x0" in err
+        cfg.write_text(json.dumps(run).replace("null", text))
+        assert run_cli(["integrate", "--config", str(cfg)]) == (
+            1, "", f"birat: error: {field}: must be finite\n")
 
     def test_rational_x0_string(self, tmp_path):
         outs = []
@@ -795,20 +802,22 @@ class TestConfigFile:
                        f" or a list, got {params!r}\n")
 
     @pytest.mark.parametrize("field, value", [
-        ("model", ["lv"]), ("method", ["kahan"]), ("output", True), ("output", 1)])
+        ("model", ["lv"]), ("method", ["kahan"]), ("output", True), ("output", 1),
+        ("h", True), ("params", {"mu": True, "nu": 0.6, "eps": 0.1})])
     def test_value_of_wrong_type_rejected(self, tmp_path, field, value):
         # a bool or int output would be taken as a file descriptor: run in a child
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"model": "lv", "method": "kahan", "h": 0.1, "steps": 3,
-                                   field: value}))
+        cfg.write_text(json.dumps({"model": "enzyme3", "method": "kahan", "h": 1e-3,
+                                   "steps": 3, field: value}))
         proc = subprocess.run([sys.executable, "-m", "birat.cli", "integrate",
                                "--config", str(cfg)], capture_output=True, text=True)
-        assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr.startswith(f"birat: error: {field}: ")
-        assert proc.stderr.count("\n") == 1
-        if field == "model":
-            assert proc.stderr == (f"birat: error: model: expected one of {sorted(MODELS)},"
-                                   " got ['lv']\n")
+        message = {"model": f"model: expected one of {sorted(MODELS)}, got ['lv']",
+                   "method": "method: expected a string, got ['kahan']",
+                   "output": f"output: expected a file name, got {value!r}",
+                   "h": "h: expected a number, got True",
+                   "params": "params.mu: expected a number, got True"}[field]
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            1, "", f"birat: error: {message}\n")
 
     def test_tol_must_be_nonnegative(self, tmp_path):
         argv = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
@@ -1126,11 +1135,8 @@ def _assert_contract(argv, config_text=None):
     if code == 1:
         assert (out, files) == ("", {})
         lines = [line for line in err.splitlines() if not line.startswith("WARNING ")]
-        if lines[0].startswith("usage: "):
-            assert re.fullmatch(r"birat(?: \w+)?: error: .+", lines[-1])
-        else:
-            assert len(lines) == 1
-            assert re.fullmatch(r"birat: error: [\w.]+: .+", lines[0])
+        assert len(lines) == 1
+        assert re.fullmatch(r"birat: error: [\w.]+: .+", lines[0])
     elif argv[0] == "integrate":
         text = out or "".join(files.values())
         if text.startswith("{"):
