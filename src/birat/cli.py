@@ -1,21 +1,24 @@
 """Command-line front end: integrate models, classify parameter sets, verify.
 
-Exit codes: 0 success, 1 configuration error, 2 runtime map failure,
+Exit codes: 0 success, 1 configuration or output error, 2 runtime map failure,
 3 classification negative.
 """
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import os
+import struct
 import sys
-from contextlib import nullcontext
+from array import array
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .driver import orbit
+from . import driver
 from .errors import BiratError
 from .lvfamily import DEFAULT_STEP_TOL, LVParams, classify_params, lv_stepper
 from .models import MODELS, model_vector_field, schnakenberg_step, schnakenberg_vf
@@ -35,6 +38,9 @@ EXIT_NEGATIVE = 3
 
 # integrate's settings: each is a flag and a key of the --config file, and a flag wins
 SETTINGS = ("model", "method", "params", "h", "steps", "x0", "output", "format", "tol")
+
+# the byte length of the payload that follows it, on the pipes to and from the row formatter
+_FRAME = struct.Struct("=Q")
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -292,6 +298,110 @@ def _row_template(fmt: str, dim: int) -> tuple[str, str]:
     return "[" + ", ".join([FMT] * (dim + 1)) + "]", ",\n"
 
 
+def _format_block(values, rows: int, dim: int, h: float, row: str, sep: str) -> str:
+    """The text of one block of states (flat, row-major) whose first state is row ``rows``."""
+    n = len(values) // dim
+    flat = [0.0] * (n * (dim + 1))  # (t, *state) of each row
+    # row 0 prints 0, not the -0 that 0 * h gives for a negative h
+    flat[::dim + 1] = [k * h or 0.0 for k in range(rows, rows + n)]
+    for j in range(dim):
+        flat[j + 1::dim + 1] = values[j::dim]
+    return (sep if rows else "") + sep.join([row] * n) % tuple(flat)
+
+
+def _texts(blocks, layout):
+    """(text, row count) of each block, formatted in this process."""
+    rows = 0
+    for values in blocks:
+        n = len(values) // layout[0]
+        yield _format_block(values, rows, *layout), n
+        rows += n
+
+
+def _write_frame(dst, payload: bytes) -> None:
+    dst.write(_FRAME.pack(len(payload)))
+    dst.write(payload)
+    dst.flush()
+
+
+def _read_frame(src) -> bytes:
+    """The next payload; b"" when the stream ends, also part way through a frame."""
+    head = src.read(_FRAME.size)
+    if len(head) < _FRAME.size:
+        return b""
+    size = _FRAME.unpack(head)[0]
+    payload = src.read(size)
+    return payload if len(payload) == size else b""
+
+
+def _serve_texts(src_fd: int, dst_fd: int, layout) -> None:
+    """The formatter child: each block read from ``src_fd`` comes back as text, until it closes."""
+    import signal  # here, as only the child needs it: it costs the CLI's start-up 1 ms
+
+    # an interrupt is the parent's to take; it closes the pipes, which ends this loop
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    gc.freeze()  # objects the parent left for collection are never finalized here
+    rows = 0
+    with open(src_fd, "rb") as src, open(dst_fd, "wb") as dst:
+        while payload := _read_frame(src):
+            values = array("d")
+            values.frombytes(payload)
+            _write_frame(dst, _format_block(values.tolist(), rows, *layout).encode())
+            rows += len(values) // layout[0]
+
+
+def _received_text(src) -> str:
+    text = _read_frame(src)
+    if not text:
+        raise OSError("the row formatter process ended early")
+    return text.decode()
+
+
+def _texts_forked(blocks, layout):
+    """As :func:`_texts`, with each block formatted by a forked child while this process
+    steps the next one.
+
+    The two run in lockstep: block k goes to the child, block k+1 is stepped, block k's
+    text is read back in full and yielded, and only then does block k+1 go.  So at most
+    two blocks are held, each process blocks only on a pipe that the other is bound to
+    serve next, and the caller may write the text to any stream.  A map failure (a
+    BiratError) yields the block in flight before it is re-raised; any other exception,
+    or closing the generator, reads nothing more.  Either way the pipes are closed,
+    which ends the child, and the child is reaped.
+    """
+    blocks_r, blocks_w = os.pipe()
+    texts_r, texts_w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the child never returns into the caller's stack
+        status = 1
+        try:
+            os.close(blocks_w)
+            os.close(texts_r)
+            _serve_texts(blocks_r, texts_w, layout)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(blocks_r)
+    os.close(texts_w)
+    try:
+        with open(blocks_w, "wb") as to_child, open(texts_r, "rb") as from_child:
+            pending = 0  # rows in the block the child holds
+            try:
+                for values in blocks:
+                    if pending:
+                        yield _received_text(from_child), pending
+                    _write_frame(to_child, array("d", values).tobytes())
+                    pending = len(values) // layout[0]
+            except BiratError:
+                if pending:
+                    yield _received_text(from_child), pending
+                raise
+            if pending:
+                yield _received_text(from_child), pending
+    finally:
+        os.waitpid(pid, 0)
+
+
 def cmd_integrate(args) -> int:
     cfg = _build_run_config(args)
     spec = MODELS[cfg.model]
@@ -311,15 +421,20 @@ def cmd_integrate(args) -> int:
                           f" {cfg.model}, got {len(x0)}")
 
     stepper = _make_stepper(cfg, params)
-    dim, h = len(names), cfg.h
-    row, sep = _row_template(cfg.format, dim)
+    layout = (len(names), cfg.h, *_row_template(cfg.format, len(names)))
+    blocks = driver.orbit(stepper, x0, cfg.steps, names)
+    # a second process pays off only when there is a next block to step meanwhile
+    if cfg.steps >= driver.BLOCK and _usable_cpus() > 1 and hasattr(os, "fork"):
+        texts = _texts_forked(blocks, layout)
+    else:
+        texts = _texts(blocks, layout)
     try:
         sink = nullcontext(sys.stdout) if cfg.output in (None, "-") else open(cfg.output, "w")
     except OSError as exc:
         raise ConfigError(f"output: {exc}") from exc
     rows = 0
     error = None
-    with sink as out:
+    with sink as out, closing(texts):
         if cfg.format == "csv":
             out.write("t," + ",".join(names) + "\n")
         else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
@@ -327,14 +442,8 @@ def cmd_integrate(args) -> int:
                 json.dumps(cfg.model), json.dumps(cfg.method), FMT % cfg.h,
                 ", ".join(json.dumps(n) for n in names)))
         try:
-            for values in orbit(stepper, x0, cfg.steps, names):
-                n = len(values) // dim
-                flat = [0.0] * (n * (dim + 1))  # (t, *state) of each row
-                # row 0 prints 0, not the -0 that 0 * h gives for a negative h
-                flat[::dim + 1] = [k * h or 0.0 for k in range(rows, rows + n)]
-                for j in range(dim):
-                    flat[j + 1::dim + 1] = values[j::dim]
-                out.write((sep if rows else "") + sep.join([row] * n) % tuple(flat))
+            for text, n in texts:
+                out.write(text)
                 rows += n
         except BiratError as exc:
             error = {"step": rows, "type": type(exc).__name__, "message": str(exc)}
@@ -439,13 +548,24 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a stdout closed early fails here, not at interpreter exit
+        return code
     except ConfigError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BiratError as exc:
         print(f"{parser.prog}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:  # writing the output failed: a closed pipe, a full disk
+        print(f"{parser.prog}: error: output: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout is gone; pointed at os.devnull, its flush at exit cannot fail
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

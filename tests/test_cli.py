@@ -2,6 +2,7 @@
 import ast
 import concurrent.futures
 import contextlib
+import errno
 import functools
 import hashlib
 import io
@@ -53,14 +54,35 @@ def pid_suite(name, pause, seed, tol):
     return [{"name": name, "value": os.getpid(), "threshold": 0, "passed": True}]
 
 
-def run_cli(argv):
-    out, err = io.StringIO(), io.StringIO()
+def run_cli(argv, out=None):
+    out, err = out or io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse-level rejections
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def on_cpus(monkeypatch, cpus):
+    """Make cli._usable_cpus() return ``cpus``; the list returned collects the pid of
+    every process os.fork starts from here on."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    forks, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class TestParseRational:
@@ -429,7 +451,7 @@ def _oracle_text(fmt, method, h, states, error=None):
 
 class TestStreamedOutput:
     """Rows are written in blocks of driver.BLOCK states; the bytes must not depend on where
-    blocks end."""
+    blocks end, nor on which process formats them."""
 
     H = -0.01  # a backward run, so row 0 also checks the 0-not--0 rule
 
@@ -444,17 +466,23 @@ class TestStreamedOutput:
 
     @pytest.mark.parametrize("dest", ["stdout", "file"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("steps", [driver.BLOCK - 1, driver.BLOCK, 2 * driver.BLOCK + 1],
-                             ids=["block-1", "block", "2block+1"])
-    def test_matches_per_row_oracle(self, steps, fmt, dest, tmp_path):
+    @pytest.mark.parametrize("steps", [driver.BLOCK - 1, driver.BLOCK, driver.BLOCK + 1,
+                                       2 * driver.BLOCK + 1],
+                             ids=["block-1", "block", "block+1", "2block+1"])
+    def test_matches_per_row_oracle(self, steps, fmt, dest, tmp_path, monkeypatch):
         states = [(2.0, 0.5)]
         for _ in range(steps):
             states.append(lv_step(MICKENS_SCHEME, *states[-1], self.H))
-        code, text, err = self._run(
-            ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
-             "--h", str(self.H), "--steps", str(steps)], fmt, dest, tmp_path)
-        assert (code, err) == (0, "")
-        assert text == _oracle_text(fmt, "lv-family", self.H, states)
+        # one CPU formats in process; two fork a formatter once a second block exists
+        for cpus in (1, 2):
+            forks = on_cpus(monkeypatch, cpus)
+            code, text, err = self._run(
+                ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+                 "--h", str(self.H), "--steps", str(steps)], fmt, dest, tmp_path)
+            assert (code, err) == (0, "")
+            assert text == _oracle_text(fmt, "lv-family", self.H, states)
+            assert len(forks) == (cpus > 1 and steps >= driver.BLOCK)
+            assert_no_child_left()
 
     # lv Euler at h = 0.9 from (8, 0.01): states 0-10 are finite, step 11 overflows
     FAILING = ["integrate", "--model", "lv", "--method", "euler", "--h", "0.9",
@@ -478,15 +506,19 @@ class TestStreamedOutput:
         monkeypatch.setattr(driver, "BLOCK", block)
         states = self._failing_states()
         assert len(states) == 11
-        code, text, err = self._run(self.FAILING, fmt, dest, tmp_path)
-        assert code == 2
         error = {"step": 11, "type": "NonFiniteState", "message": "non-finite value in x, y"}
-        if fmt == "csv":
-            assert err == FAILURE_CSV_LINE
-            assert text == _oracle_text(fmt, "euler", 0.9, states)
-        else:
-            assert err == FAILURE_LOG_LINE
-            assert text == _oracle_text(fmt, "euler", 0.9, states, error)
+        for cpus in (1, 2):
+            forks = on_cpus(monkeypatch, cpus)
+            code, text, err = self._run(self.FAILING, fmt, dest, tmp_path)
+            assert code == 2
+            if fmt == "csv":
+                assert err == FAILURE_CSV_LINE
+                assert text == _oracle_text(fmt, "euler", 0.9, states)
+            else:
+                assert err == FAILURE_LOG_LINE
+                assert text == _oracle_text(fmt, "euler", 0.9, states, error)
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
 
     @pytest.mark.parametrize("value", [
         -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e16, 1e17, 1e-5,
@@ -494,6 +526,104 @@ class TestStreamedOutput:
     ])
     def test_percent_format_matches_str_format(self, value):
         assert cli.FMT % value == "{:.17g}".format(value)
+
+
+class TestFormatterChild:
+    """A run of more than one block on two CPUs formats in a forked child; whatever ends
+    the run, the child is reaped and the parent's error is the one reported."""
+
+    ARGV = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+            "--h", "0.1", "--steps", "100", "--format", "json"]
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(driver, "BLOCK", 8)
+        self.forks = on_cpus(monkeypatch, 2)
+        yield
+        assert len(self.forks) == 1
+        assert_no_child_left()
+
+    def _failing_stepper(self, monkeypatch, exc, at):
+        real = cli.lv_stepper
+
+        def stepper(*args):
+            step, calls = real(*args), []
+
+            def failing(state):
+                calls.append(None)
+                if len(calls) == at:
+                    raise exc
+                return step(state)
+            return failing
+        monkeypatch.setattr(cli, "lv_stepper", stepper)
+
+    @pytest.mark.parametrize("exc", [RuntimeError("boom"), KeyboardInterrupt()],
+                             ids=["runtime-error", "interrupt"])
+    def test_step_exception_propagates(self, exc, monkeypatch):
+        self._failing_stepper(monkeypatch, exc, at=30)
+        with pytest.raises(type(exc)):
+            run_cli(self.ARGV)
+
+    def test_map_failure_after_several_blocks(self, monkeypatch):
+        self._failing_stepper(monkeypatch, SingularStepMatrix("boom"), at=30)
+        code, out, err = run_cli(self.ARGV)
+        assert code == 2
+        doc = json.loads(out)
+        assert len(doc["rows"]) == 30
+        assert doc["error"] == {"step": 30, "type": "SingularStepMatrix", "message": "boom"}
+
+    class ClosingStream(io.StringIO):
+        """A stdout whose reader goes away after ``writes`` writes."""
+
+        def __init__(self, writes):
+            super().__init__()
+            self.writes = writes
+
+        def write(self, text):
+            if not self.writes:
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+            self.writes -= 1
+            return super().write(text)
+
+    def test_failed_write_is_one_output_line(self):
+        code, out, err = run_cli(self.ARGV, out=self.ClosingStream(3))
+        assert (code, err) == (1, "birat: error: output: [Errno 32] Broken pipe\n")
+        assert out.count("],\n[") == 2 * 8 - 1  # the header, then two blocks
+
+    def test_formatter_that_dies_is_an_error(self, monkeypatch):
+        real = cli._format_block
+
+        def format_block(values, rows, *layout):  # runs in the child
+            if rows:
+                os._exit(9)
+            return real(values, rows, *layout)
+
+        monkeypatch.setattr(cli, "_format_block", format_block)
+        code, out, err = run_cli(self.ARGV)
+        assert (code, err) == (1, "birat: error: output: the row formatter process ended early\n")
+        assert out.count("],\n[") == 8 - 1  # the header, then the first block
+
+
+class TestClosedOutput:
+    # stdout buffered as it is by default, so that a run can also end with text still
+    # in the buffer, which the interpreter would flush at exit
+    ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["--model", "lv", "--method", "lv-family", "--params", MICKENS, "--h", "0.1",
+          "--steps", "20000", "--format", "json"], 1),
+        (["--model", "enzyme3", "--method", "kahan", "--h", "1e-3", "--steps", "10000"], 1),
+        (["--model", "lv", "--method", "kahan", "--h", "0.1", "--steps", "3"], 0),
+    ], ids=["lv-family-json", "enzyme3-kahan-csv", "short-csv"])
+    def test_reader_that_closes_early(self, argv, lines):
+        proc = subprocess.Popen([sys.executable, "-m", "birat.cli", "integrate", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV)
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        # stderr ends only when every process holding it has exited, formatter included
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"birat: error: output: [Errno 32] Broken pipe\n")
 
 
 class TestClassify:
@@ -861,16 +991,20 @@ class TestScipyNotLoaded:
     lv-family`` or ``classify``."""
 
     @staticmethod
-    def _loaded_modules(argv, package="scipy"):
-        """(exit code, modules of ``package`` loaded) after ``main(argv)`` in a fresh
-        interpreter."""
+    def _loaded_modules(argv, package="scipy", cpus=None):
+        """(exit code, modules loaded of ``package``, one or more space-separated package
+        names) after ``main(argv)`` in a fresh interpreter, where ``cpus``, if given, is
+        what cli._usable_cpus() returns."""
         code = ("import contextlib, io, sys\n"
                 "import birat\n"
+                "from birat import cli\n"
                 "from birat.cli import main\n"
+                + ("" if cpus is None else f"cli._usable_cpus = lambda: {cpus}\n") +
                 f"argv = {argv!r}\n"
                 "with contextlib.redirect_stdout(io.StringIO()):\n"
                 "    rc = main(argv) if argv else 0\n"
-                f"print(rc, sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))\n")
+                f"print(rc, sorted(m for m in sys.modules\n"
+                f"                 if m.split('.')[0] in {package.split()!r}))\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         rc, modules = proc.stdout.split(" ", 1)
@@ -904,6 +1038,13 @@ class TestScipyNotLoaded:
         rc, modules = self._loaded_modules(argv, "numpy")
         assert rc == 0
         assert "numpy" in modules
+
+    def test_forked_formatter_loads_no_numpy_or_pool(self):
+        # a run of two blocks on two CPUs formats in a forked child
+        steps = str(driver.BLOCK)
+        assert self._loaded_modules(
+            ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+             "--h", "0.1", "--steps", steps], "numpy multiprocessing concurrent", cpus=2) == (0, [])
 
     def test_kahan_integrate_leaves_scipy_linalg_out(self):
         rc, modules = self._loaded_modules(["integrate", "--model", "enzyme3", "--method",
@@ -998,14 +1139,18 @@ class TestLVFamilyGoldenBytes:
     PARAMS = {"KAHAN": KAHAN, "MICKENS": MICKENS, "CASE_VI": CASE_VI}
 
     @pytest.mark.parametrize("scheme, fmt, h", list(SHA256), ids="-".join)
-    def test_output_bytes_pinned(self, scheme, fmt, h):
+    def test_output_bytes_pinned(self, scheme, fmt, h, monkeypatch):
         steps = 5000
         assert steps > driver.BLOCK
-        code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
-                                  "--params", self.PARAMS[scheme], "--h", h,
-                                  "--steps", str(steps), "--format", fmt])
-        assert (code, err) == (0, "")
-        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[scheme, fmt, h]
+        for cpus in (1, 2):  # formatted in process, then in a forked child
+            forks = on_cpus(monkeypatch, cpus)
+            code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
+                                      "--params", self.PARAMS[scheme], "--h", h,
+                                      "--steps", str(steps), "--format", fmt])
+            assert (code, err) == (0, "")
+            assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[scheme, fmt, h]
+            assert len(forks) == cpus - 1
+            assert_no_child_left()
 
 
 # -- the CLI contract as one property ------------------------------------------------
