@@ -11,7 +11,6 @@ import json
 import logging
 import math
 import os
-import struct
 import sys
 from array import array
 from contextlib import closing, nullcontext
@@ -38,9 +37,6 @@ EXIT_NEGATIVE = 3
 
 # integrate's settings: each is a flag and a key of the --config file, and a flag wins
 SETTINGS = ("model", "method", "params", "h", "steps", "x0", "output", "format", "tol")
-
-# the byte length of the payload that follows it, on the pipes to and from the row formatter
-_FRAME = struct.Struct("=Q")
 
 
 class _StderrHandler(logging.StreamHandler):
@@ -318,88 +314,56 @@ def _texts(blocks, layout):
         rows += n
 
 
-def _write_frame(dst, payload: bytes) -> None:
-    dst.write(_FRAME.pack(len(payload)))
-    dst.write(payload)
-    dst.flush()
+def _raise_for_child(status: int) -> None:
+    """Raise the error that ended the formatter child, if any, from its waitpid status."""
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise (OSError(code - 128, os.strerror(code - 128)) if code > 128
+               else OSError("the row formatter process ended early"))
 
 
-def _read_frame(src) -> bytes:
-    """The next payload; b"" when the stream ends, also part way through a frame."""
-    head = src.read(_FRAME.size)
-    if len(head) < _FRAME.size:
-        return b""
-    size = _FRAME.unpack(head)[0]
-    payload = src.read(size)
-    return payload if len(payload) == size else b""
+def _texts_forked(blocks, layout, out):
+    """As :func:`_texts`, but a forked child formats each block and writes it to ``out``
+    while this process steps the next, so the texts yielded here are empty.
 
-
-def _serve_texts(src_fd: int, dst_fd: int, layout) -> None:
-    """The formatter child: each block read from ``src_fd`` comes back as text, until it closes."""
-    import signal  # here, as only the child needs it: it costs the CLI's start-up 1 ms
-
-    # an interrupt is the parent's to take; it closes the pipes, which ends this loop
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    gc.freeze()  # objects the parent left for collection are never finalized here
-    rows = 0
-    with open(src_fd, "rb") as src, open(dst_fd, "wb") as dst:
-        while payload := _read_frame(src):
-            values = array("d")
-            values.frombytes(payload)
-            _write_frame(dst, _format_block(values.tolist(), rows, *layout).encode())
-            rows += len(values) // layout[0]
-
-
-def _received_text(src) -> str:
-    text = _read_frame(src)
-    if not text:
-        raise OSError("the row formatter process ended early")
-    return text.decode()
-
-
-def _texts_forked(blocks, layout):
-    """As :func:`_texts`, with each block formatted by a forked child while this process
-    steps the next one.
-
-    The two run in lockstep: block k goes to the child, block k+1 is stepped, block k's
-    text is read back in full and yielded, and only then does block k+1 go.  So at most
-    two blocks are held, each process blocks only on a pipe that the other is bound to
-    serve next, and the caller may write the text to any stream.  A map failure (a
-    BiratError) yields the block in flight before it is re-raised; any other exception,
-    or closing the generator, reads nothing more.  Either way the pipes are closed,
-    which ends the child, and the child is reaped.
+    Whole states go down one pipe as doubles.  The child is reaped before any call that
+    could raise an interrupt both processes took, so a map failure (a BiratError) comes
+    after every row before it, and a write that failed in the child is raised here as
+    that OSError.  Any other exception kills the child, and the rows in flight are lost.
     """
+    out.flush()  # so that the child inherits no buffered text
     blocks_r, blocks_w = os.pipe()
-    texts_r, texts_w = os.pipe()
     pid = os.fork()
     if pid == 0:  # the child never returns into the caller's stack
         status = 1
         try:
             os.close(blocks_w)
-            os.close(texts_r)
-            _serve_texts(blocks_r, texts_w, layout)
+            gc.freeze()  # objects the parent left for collection are never finalized here
+            with open(blocks_r, "rb") as src:
+                chunks = iter(lambda: src.read(8 * layout[0] * driver.BLOCK), b"")
+                for text, _ in _texts((array("d", chunk) for chunk in chunks), layout):
+                    out.write(text)
+                    out.flush()  # each block is on the output once it is formatted
             status = 0
+        except OSError as exc:  # a failed write; any other status reads as an early end
+            status = 128 + exc.errno if exc.errno in range(1, 128) else status
         finally:
             os._exit(status)
     os.close(blocks_r)
-    os.close(texts_w)
     try:
-        with open(blocks_w, "wb") as to_child, open(texts_r, "rb") as from_child:
-            pending = 0  # rows in the block the child holds
-            try:
-                for values in blocks:
-                    if pending:
-                        yield _received_text(from_child), pending
-                    _write_frame(to_child, array("d", values).tobytes())
-                    pending = len(values) // layout[0]
-            except BiratError:
-                if pending:
-                    yield _received_text(from_child), pending
-                raise
-            if pending:
-                yield _received_text(from_child), pending
-    finally:
+        with open(blocks_w, "wb") as to_child:
+            for values in blocks:
+                to_child.write(array("d", values))
+                yield "", len(values) // layout[0]
+    except (BiratError, BrokenPipeError):
+        _raise_for_child(os.waitpid(pid, 0)[1])  # a write that failed in the child wins
+        raise
+    except BaseException:
+        import signal  # here, as only this path needs it: it costs the CLI's start-up 0.6 ms
+        os.kill(pid, signal.SIGKILL)  # blocked on a stalled reader, only a signal ends it
         os.waitpid(pid, 0)
+        raise
+    _raise_for_child(os.waitpid(pid, 0)[1])
 
 
 def cmd_integrate(args) -> int:
@@ -423,18 +387,18 @@ def cmd_integrate(args) -> int:
     stepper = _make_stepper(cfg, params)
     layout = (len(names), cfg.h, *_row_template(cfg.format, len(names)))
     blocks = driver.orbit(stepper, x0, cfg.steps, names)
-    # a second process pays off only when there is a next block to step meanwhile
-    if cfg.steps >= driver.BLOCK and _usable_cpus() > 1 and hasattr(os, "fork"):
-        texts = _texts_forked(blocks, layout)
-    else:
-        texts = _texts(blocks, layout)
+    to_stdout = cfg.output in (None, "-")
     try:
-        sink = nullcontext(sys.stdout) if cfg.output in (None, "-") else open(cfg.output, "w")
+        sink = nullcontext(_stdout()) if to_stdout else open(cfg.output, "w")
     except OSError as exc:
         raise ConfigError(f"output: {exc}") from exc
+    # a fork pays off only with a next block to step, and needs an output on its own fd
+    forked = (cfg.steps >= driver.BLOCK and _usable_cpus() > 1 and hasattr(os, "fork")
+              and (not to_stdout or sys.stdout is sys.__stdout__))
     rows = 0
     error = None
-    with sink as out, closing(texts):
+    with sink as out, closing(_texts_forked(blocks, layout, out) if forked
+                              else _texts(blocks, layout)) as texts:
         if cfg.format == "csv":
             out.write("t," + ",".join(names) + "\n")
         else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
@@ -458,7 +422,15 @@ def cmd_integrate(args) -> int:
     return EXIT_RUNTIME if error is not None else EXIT_OK
 
 
+def _stdout():
+    """``sys.stdout``; ConfigError if the process started with its descriptor 1 closed."""
+    if sys.stdout is None:
+        raise ConfigError("output: stdout is closed")
+    return sys.stdout
+
+
 def cmd_classify(args) -> int:
+    _stdout()
     report = classify_params(_read_scheme(args.params.split(",")), certify=args.certify)
     print(json.dumps(report.to_json_dict(), indent=2, sort_keys=True))
     return EXIT_OK if report.birational_cases else EXIT_NEGATIVE
@@ -471,6 +443,7 @@ def _usable_cpus() -> int:
 
 
 def cmd_verify(args) -> int:
+    _stdout()
     # loaded before the pool starts, so forked workers inherit numpy and the suites
     from . import verify
 
@@ -549,7 +522,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # so that a stdout closed early fails here, not at interpreter exit
+        if sys.stdout is not None:  # so that a stdout closed early fails here, not at exit
+            sys.stdout.flush()
         return code
     except ConfigError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
@@ -560,7 +534,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:  # writing the output failed: a closed pipe, a full disk
         print(f"{parser.prog}: error: output: {exc}", file=sys.stderr)
         try:
-            sys.stdout.flush()
+            if sys.stdout is not None:
+                sys.stdout.flush()
         except OSError:  # stdout is gone; pointed at os.devnull, its flush at exit cannot fail
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -12,6 +12,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -451,7 +452,9 @@ def _oracle_text(fmt, method, h, states, error=None):
 
 class TestStreamedOutput:
     """Rows are written in blocks of driver.BLOCK states; the bytes must not depend on where
-    blocks end, nor on which process formats them."""
+    blocks end, nor on which process formats them.  run_cli's stdout is an io.StringIO,
+    which is formatted in process on any number of CPUs; a file is formatted in a forked
+    child on two."""
 
     H = -0.01  # a backward run, so row 0 also checks the 0-not--0 rule
 
@@ -473,15 +476,16 @@ class TestStreamedOutput:
         states = [(2.0, 0.5)]
         for _ in range(steps):
             states.append(lv_step(MICKENS_SCHEME, *states[-1], self.H))
-        # one CPU formats in process; two fork a formatter once a second block exists
+        # one CPU formats in process; two fork a formatter for a file once a second block
+        # exists
         for cpus in (1, 2):
             forks = on_cpus(monkeypatch, cpus)
             code, text, err = self._run(
                 ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
                  "--h", str(self.H), "--steps", str(steps)], fmt, dest, tmp_path)
+            assert len(forks) == (cpus > 1 and dest == "file" and steps >= driver.BLOCK)
             assert (code, err) == (0, "")
             assert text == _oracle_text(fmt, "lv-family", self.H, states)
-            assert len(forks) == (cpus > 1 and steps >= driver.BLOCK)
             assert_no_child_left()
 
     # lv Euler at h = 0.9 from (8, 0.01): states 0-10 are finite, step 11 overflows
@@ -510,6 +514,7 @@ class TestStreamedOutput:
         for cpus in (1, 2):
             forks = on_cpus(monkeypatch, cpus)
             code, text, err = self._run(self.FAILING, fmt, dest, tmp_path)
+            assert len(forks) == (cpus > 1 and dest == "file")
             assert code == 2
             if fmt == "csv":
                 assert err == FAILURE_CSV_LINE
@@ -517,7 +522,6 @@ class TestStreamedOutput:
             else:
                 assert err == FAILURE_LOG_LINE
                 assert text == _oracle_text(fmt, "euler", 0.9, states, error)
-            assert len(forks) == cpus - 1
             assert_no_child_left()
 
     @pytest.mark.parametrize("value", [
@@ -529,18 +533,20 @@ class TestStreamedOutput:
 
 
 class TestFormatterChild:
-    """A run of more than one block on two CPUs formats in a forked child; whatever ends
-    the run, the child is reaped and the parent's error is the one reported."""
+    """A run of more than one block to a file on two CPUs formats in a forked child, which
+    writes the rows; whatever ends the run, the child is reaped and the parent's error is
+    the one reported.  Each test asserts the fork count first."""
 
     ARGV = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
             "--h", "0.1", "--steps", "100", "--format", "json"]
 
     @pytest.fixture(autouse=True)
-    def small_blocks(self, monkeypatch):
+    def small_blocks(self, monkeypatch, tmp_path):
         monkeypatch.setattr(driver, "BLOCK", 8)
         self.forks = on_cpus(monkeypatch, 2)
+        self.target = tmp_path / "traj.json"
+        self.argv = [*self.ARGV, "--output", str(self.target)]
         yield
-        assert len(self.forks) == 1
         assert_no_child_left()
 
     def _failing_stepper(self, monkeypatch, exc, at):
@@ -562,13 +568,15 @@ class TestFormatterChild:
     def test_step_exception_propagates(self, exc, monkeypatch):
         self._failing_stepper(monkeypatch, exc, at=30)
         with pytest.raises(type(exc)):
-            run_cli(self.ARGV)
+            run_cli(self.argv)
+        assert len(self.forks) == 1
 
     def test_map_failure_after_several_blocks(self, monkeypatch):
         self._failing_stepper(monkeypatch, SingularStepMatrix("boom"), at=30)
-        code, out, err = run_cli(self.ARGV)
-        assert code == 2
-        doc = json.loads(out)
+        code, out, err = run_cli(self.argv)
+        assert len(self.forks) == 1
+        assert (code, out) == (2, "")
+        doc = json.loads(self.target.read_text())
         assert len(doc["rows"]) == 30
         assert doc["error"] == {"step": 30, "type": "SingularStepMatrix", "message": "boom"}
 
@@ -586,22 +594,26 @@ class TestFormatterChild:
             return super().write(text)
 
     def test_failed_write_is_one_output_line(self):
+        # a stream that is not the interpreter's stdout is written in process;
+        # TestClosedOutput covers a closed reader of the forked child
         code, out, err = run_cli(self.ARGV, out=self.ClosingStream(3))
+        assert self.forks == []
         assert (code, err) == (1, "birat: error: output: [Errno 32] Broken pipe\n")
         assert out.count("],\n[") == 2 * 8 - 1  # the header, then two blocks
 
     def test_formatter_that_dies_is_an_error(self, monkeypatch):
-        real = cli._format_block
+        real, parent = cli._format_block, os.getpid()
 
         def format_block(values, rows, *layout):  # runs in the child
-            if rows:
+            if rows and os.getpid() != parent:
                 os._exit(9)
             return real(values, rows, *layout)
 
         monkeypatch.setattr(cli, "_format_block", format_block)
-        code, out, err = run_cli(self.ARGV)
+        code, out, err = run_cli(self.argv)
+        assert len(self.forks) == 1
         assert (code, err) == (1, "birat: error: output: the row formatter process ended early\n")
-        assert out.count("],\n[") == 8 - 1  # the header, then the first block
+        assert self.target.read_text().count("],\n[") == 8 - 1  # the header, then the first block
 
 
 class TestClosedOutput:
@@ -624,6 +636,77 @@ class TestClosedOutput:
         # stderr ends only when every process holding it has exited, formatter included
         _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err) == (1, b"birat: error: output: [Errno 32] Broken pipe\n")
+
+
+class TestClosedStdout:
+    """A process started with its descriptor 1 closed has sys.stdout None."""
+
+    LV = ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
+          "--h", "0.1", "--steps", "5000"]
+
+    @staticmethod
+    def _run(argv):
+        return subprocess.run([sys.executable, "-m", "birat.cli", *argv],
+                              stderr=subprocess.PIPE, preexec_fn=lambda: os.close(1))
+
+    @pytest.mark.parametrize("argv", [
+        LV, [*LV, "--output", "-"], ["classify", MICKENS], ["verify", "all"],
+    ], ids=["integrate", "integrate-dash", "classify", "verify"])
+    def test_output_to_stdout_is_one_error_line(self, argv):
+        proc = self._run(argv)
+        assert (proc.returncode, proc.stderr) == (1, b"birat: error: output: stdout is closed\n")
+
+    def test_output_to_a_file_succeeds(self, tmp_path):
+        target = tmp_path / "traj.csv"
+        proc = self._run([*self.LV, "--output", str(target)])
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert target.read_text() == run_cli(self.LV)[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="the formatter child is forked only with two usable CPUs")
+class TestFormatterChildProcess:
+    """The forked formatter seen from outside, with nothing monkeypatched: a run of more
+    than one block to the interpreter's stdout on two usable CPUs."""
+
+    ARGV = [sys.executable, "-m", "birat.cli", "integrate", "--model", "lv", "--method",
+            "lv-family", "--params", MICKENS, "--h", "0.1", "--format", "json"]
+
+    def test_writes_through_the_parents_text_stream(self):
+        # PYTHONIOENCODING sets the encoding of sys.stdout alone, so only a child that
+        # writes through the parent's stream encodes its rows as UTF-16
+        env = dict(os.environ, PYTHONIOENCODING="utf-16")
+        argv = [*self.ARGV, "--steps", str(2 * driver.BLOCK)]
+        cpu = min(os.sched_getaffinity(0))
+        forked = subprocess.run(argv, capture_output=True, env=env)
+        alone = subprocess.run(argv, capture_output=True, env=env,
+                               preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+        assert (forked.returncode, forked.stderr) == (alone.returncode, alone.stderr) == (0, b"")
+        assert forked.stdout == alone.stdout
+        assert forked.stdout.decode("utf-16").startswith('{"model": "lv"')
+
+    @pytest.mark.parametrize("kill", [os.killpg, os.kill], ids=["group", "parent"])
+    def test_interrupt_ends_both_processes(self, kill):
+        # the reader stops after one line, so the child stalls on its write and the
+        # parent on the pipe to the child; an interrupt from the terminal reaches both,
+        # one sent to the parent alone ends the child through it
+        proc = subprocess.Popen([*self.ARGV, "--steps", "200000"], stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL, start_new_session=True)
+        try:
+            proc.stdout.readline()
+            time.sleep(0.2)
+            kill(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=10) == -signal.SIGINT
+            deadline = time.monotonic() + 5
+            with pytest.raises(ProcessLookupError):  # no process is left in its group
+                while time.monotonic() < deadline:
+                    os.killpg(proc.pid, 0)
+                    time.sleep(0.01)
+        finally:  # if the test failed, nothing may outlive it
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()
 
 
 class TestClassify:
@@ -1039,12 +1122,13 @@ class TestScipyNotLoaded:
         assert rc == 0
         assert "numpy" in modules
 
-    def test_forked_formatter_loads_no_numpy_or_pool(self):
-        # a run of two blocks on two CPUs formats in a forked child
+    def test_forked_formatter_loads_no_numpy_or_pool(self, tmp_path):
+        # a run of two blocks to a file on two CPUs formats in a forked child
         steps = str(driver.BLOCK)
         assert self._loaded_modules(
             ["integrate", "--model", "lv", "--method", "lv-family", "--params", MICKENS,
-             "--h", "0.1", "--steps", steps], "numpy multiprocessing concurrent", cpus=2) == (0, [])
+             "--h", "0.1", "--steps", steps, "--output", str(tmp_path / "traj.csv")],
+            "numpy multiprocessing concurrent", cpus=2) == (0, [])
 
     def test_kahan_integrate_leaves_scipy_linalg_out(self):
         rc, modules = self._loaded_modules(["integrate", "--model", "enzyme3", "--method",
@@ -1139,17 +1223,20 @@ class TestLVFamilyGoldenBytes:
     PARAMS = {"KAHAN": KAHAN, "MICKENS": MICKENS, "CASE_VI": CASE_VI}
 
     @pytest.mark.parametrize("scheme, fmt, h", list(SHA256), ids="-".join)
-    def test_output_bytes_pinned(self, scheme, fmt, h, monkeypatch):
+    def test_output_bytes_pinned(self, scheme, fmt, h, monkeypatch, tmp_path):
         steps = 5000
         assert steps > driver.BLOCK
-        for cpus in (1, 2):  # formatted in process, then in a forked child
+        target = tmp_path / "traj"
+        # formatted in process to stdout, then in a forked child to a file
+        for cpus, output in ((1, []), (2, ["--output", str(target)])):
             forks = on_cpus(monkeypatch, cpus)
             code, out, err = run_cli(["integrate", "--model", "lv", "--method", "lv-family",
                                       "--params", self.PARAMS[scheme], "--h", h,
-                                      "--steps", str(steps), "--format", fmt])
-            assert (code, err) == (0, "")
-            assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[scheme, fmt, h]
+                                      "--steps", str(steps), "--format", fmt, *output])
             assert len(forks) == cpus - 1
+            assert (code, err) == (0, "")
+            text = target.read_text() if output else out
+            assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[scheme, fmt, h]
             assert_no_child_left()
 
 
