@@ -46,7 +46,13 @@ non-finite state after more than two blocks of states (step 8798).  Last,
 settings that only the run configuration checks, each refused in one
 `birat: error:` line: `--model pendulum`, `--format xml`, `--steps 2.5`,
 `verify roundtrip --seed x`, and config files with `"h": true` and with
-`"x0": [NaN, 1]`.
+`"x0": [NaN, 1]`.  Then eight runs with two or more faults each, where the
+line shows which is reported first: a bad parameter value before an unknown
+method, a wrong `x0` dimension before an unknown method, before Kahan on the
+cubic Schnakenberg model and with a Mickens lv-family step, the `h > eps`
+warning before a bad series order and before a wrong `x0` dimension, Kahan
+on Schnakenberg before an `--output` that cannot be opened, and a bad
+enzyme3 parameter value before the warning and the `x0` dimension.
 """
 import argparse
 import hashlib
@@ -174,6 +180,16 @@ APPENDED = (
     (["verify", "roundtrip", "--seed", "x"], None),
     *((FROM_STDIN, json.dumps({"model": "lv", "method": "kahan", "h": 0.1, "steps": 2, **bad}))
       for bad in ({"h": True}, {"x0": [math.nan, 1]})),
+    # runs with two or more faults, of which only the first in the check order is reported
+    *((["integrate", *run.split(), "--steps", "2"], None) for run in (
+        "--model enzyme4 --method nope --h 0.01 --params k1=-1,km1=0.5,k2=0.1",
+        "--model lv --method nope --h 0.01 --x0 1,2,3",
+        "--model enzyme3 --method kahan-series:x --h 0.1",
+        "--model schnakenberg --method kahan --h 0.01 --x0 1",
+        "--model schnakenberg --method kahan --h 0.01 --output no-such-dir/t.csv",
+        f"--model lv --method lv-family --params {MICKENS} --h 0.01 --x0 1,2,3",
+        "--model enzyme3 --method schnakenberg --h 0.1 --x0 1,0",
+        "--model enzyme3 --method kahan --h 0.1 --params mu=0.7,nu=0.6,eps=0.1 --x0 1,0")),
 )
 
 

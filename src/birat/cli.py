@@ -109,16 +109,6 @@ def _config_tol(value) -> float:
     return tol
 
 
-def _parse_param_map(text: str) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for item in text.split(","):
-        if "=" not in item:
-            raise ConfigError(f"params: expected key=value, got {item!r}")
-        key, _, val = item.partition("=")
-        out[key.strip()] = val.strip()
-    return out
-
-
 def _read_scheme(tokens: Sequence[str]) -> LVParams:
     """The ten family parameters from rational texts, exactly."""
     try:
@@ -129,19 +119,21 @@ def _read_scheme(tokens: Sequence[str]) -> LVParams:
 
 @dataclass
 class RunConfig:
+    """What ``cmd_integrate`` reads of one run: the checked settings and the bound step."""
     model: str
     method: str
     h: float
     steps: int
-    tol: float
-    x0: list[float] | None = None
-    params: dict | None = None
-    scheme: LVParams | None = None
-    output: str | None = None
-    format: str = "csv"
+    names: tuple[str, ...]
+    x0: list[float]
+    step: Callable[[Sequence[float]], Sequence[float]]
+    output: str | None
+    format: str
 
 
 def _build_run_config(args) -> RunConfig:
+    """Read, check and bind integrate's settings; every ConfigError but those of opening
+    the output is raised here, in the order that README gives."""
     merged: dict = {}
     if args.config:
         try:
@@ -185,18 +177,11 @@ def _build_run_config(args) -> RunConfig:
     fmt = merged.get("format", "csv")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
+    tol = _config_tol(merged.get("tol", DEFAULT_STEP_TOL))
 
-    cfg = RunConfig(
-        model=model,
-        method=method,
-        h=h,
-        steps=steps,
-        output=output,
-        format=fmt,
-        tol=_config_tol(merged.get("tol", DEFAULT_STEP_TOL)),
-    )
-
+    spec = MODELS[model]
     params_raw = merged.get("params")
+    pmap: dict = {}
     if method == "lv-family":
         if model != "lv":
             raise ConfigError("method: lv-family applies to model lv only")
@@ -209,22 +194,25 @@ def _build_run_config(args) -> RunConfig:
         else:
             raise ConfigError(f"params: expected 10 comma-separated rationals or a list,"
                               f" got {params_raw!r}")
-        cfg.scheme = _read_scheme(toks)
+        scheme = _read_scheme(toks)
         for tok in toks:  # the step runs on the float values
             _config_float(tok, "params")
-        if cfg.scheme.elimination_order is None:
+        if scheme.elimination_order is None:
             raise ConfigError("params: no elimination is linear for this set,"
                               " so lv-family has no step for it")
     else:
-        pmap: dict = {}
         if isinstance(params_raw, str) and params_raw:
-            pmap = _parse_param_map(params_raw)
+            for item in params_raw.split(","):
+                if "=" not in item:
+                    raise ConfigError(f"params: expected key=value, got {item!r}")
+                key, _, val = item.partition("=")
+                pmap[key.strip()] = val.strip()
         elif isinstance(params_raw, dict):
             pmap = params_raw
         elif params_raw not in (None, ""):
             raise ConfigError(f"params: expected key=value text or an object,"
                               f" got {params_raw!r}")
-        allowed, required = MODELS[model].param_keys, MODELS[model].required_keys
+        allowed, required = spec.param_keys, spec.required_keys
         for key in pmap:
             if key not in allowed:
                 raise ConfigError(f"params: unknown key {key!r} for model {model}"
@@ -233,22 +221,32 @@ def _build_run_config(args) -> RunConfig:
         if pmap and missing:
             raise ConfigError(f"params: missing {', '.join(missing)} for model {model}"
                               f" (required: {', '.join(required)})")
-        cfg.params = {k: _config_float(v, f"params.{k}") for k, v in pmap.items()}
+        pmap = {k: _config_float(v, f"params.{k}") for k, v in pmap.items()}
 
-    x0_raw = merged.get("x0")
-    if isinstance(x0_raw, str):
-        x0_raw = x0_raw.split(",")
-    if isinstance(x0_raw, list):
-        cfg.x0 = [_config_float(v, "x0") for v in x0_raw]
-    elif x0_raw is not None:
-        raise ConfigError(f"x0: expected a list or a comma-separated string, got {x0_raw!r}")
-    return cfg
+    x0 = merged.get("x0")
+    if isinstance(x0, str):
+        x0 = x0.split(",")
+    if isinstance(x0, list):
+        x0 = [_config_float(v, "x0") for v in x0]
+    elif x0 is not None:
+        raise ConfigError(f"x0: expected a list or a comma-separated string, got {x0!r}")
 
+    try:
+        params = replace(spec.defaults, **pmap) if pmap else spec.defaults
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"params: {exc}") from exc
+    eps = spec.fast_scale(params) if spec.fast_scale else math.inf
+    if abs(h) > eps:
+        log.warning("%s=%g exceeds eps=%g; the fast transient will be underresolved",
+                    "h" if h > 0 else "|h|", abs(h), eps)
+    names = spec.state_names
+    if x0 is None:
+        x0 = spec.default_x0(params)
+    if len(x0) != len(names):
+        raise ConfigError(f"x0: expected dimension {len(names)} for model"
+                          f" {model}, got {len(x0)}")
 
-def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequence[float]]:
-    """Bind (model, method) to a one-step map; raises ConfigError on mismatch."""
-    method = cfg.method
-    series_order = None
+    kind, series_order = method, None
     if method.startswith("kahan-series:"):
         try:
             series_order = int(method.split(":", 1)[1])
@@ -256,42 +254,30 @@ def _make_stepper(cfg: RunConfig, params) -> Callable[[Sequence[float]], Sequenc
             raise ConfigError(f"method: bad series order in {method!r}") from exc
         if series_order < 0:
             raise ConfigError("method: series order must be >= 0")
-        method = "kahan-series"
-
-    quadratic = MODELS[cfg.model].field is not None
-    if method == "euler":
+        kind = "kahan-series"
+    quadratic = spec.field is not None
+    if kind == "euler":
         # building the field loads numpy, so orbit hands the step arrays
-        f = (model_vector_field(cfg.model, params).evaluate if quadratic
-             else schnakenberg_vf(params))
-        return lambda state: state + cfg.h * f(state)
-
-    if method in ("kahan", "kahan-series"):
+        f = model_vector_field(model, params).evaluate if quadratic else schnakenberg_vf(params)
+        step = lambda state: state + h * f(state)
+    elif kind in ("kahan", "kahan-series"):
         if not quadratic:
-            raise ConfigError(f"method: model {cfg.model} is cubic; use method"
+            raise ConfigError(f"method: model {model} is cubic; use method"
                               " schnakenberg or euler")
         from .kahan import kahan_step, kahan_step_series
 
-        vf, h = model_vector_field(cfg.model, params), cfg.h
-        if series_order is None:
-            return lambda state: kahan_step(vf, state, h)
-        return lambda state: kahan_step_series(vf, state, h, series_order)
-
-    if method == "lv-family":
-        return lv_stepper(cfg.scheme, cfg.h, cfg.tol)
-
-    if method == "schnakenberg":
-        if cfg.model != "schnakenberg":
+        vf = model_vector_field(model, params)
+        step = ((lambda state: kahan_step(vf, state, h)) if series_order is None
+                else lambda state: kahan_step_series(vf, state, h, series_order))
+    elif kind == "lv-family":
+        step = lv_stepper(scheme, h, tol)
+    elif kind == "schnakenberg":
+        if model != "schnakenberg":
             raise ConfigError("method: schnakenberg step applies to model schnakenberg only")
-        return lambda state: schnakenberg_step(params, state[0], state[1], cfg.h)
-
-    raise ConfigError(f"method: unknown method {cfg.method!r}")
-
-
-def _row_template(fmt: str, dim: int) -> tuple[str, str]:
-    """One output row as a %-template for (t, *state), and the text between rows."""
-    if fmt == "csv":
-        return ",".join([FMT] * (dim + 1)) + "\n", ""
-    return "[" + ", ".join([FMT] * (dim + 1)) + "]", ",\n"
+        step = lambda state: schnakenberg_step(params, state[0], state[1], h)
+    else:
+        raise ConfigError(f"method: unknown method {method!r}")
+    return RunConfig(model, method, h, steps, names, x0, step, output, fmt)
 
 
 def _format_block(values, rows: int, dim: int, h: float, row: str, sep: str) -> str:
@@ -305,12 +291,13 @@ def _format_block(values, rows: int, dim: int, h: float, row: str, sep: str) -> 
     return (sep if rows else "") + sep.join([row] * n) % tuple(flat)
 
 
-def _texts(blocks, layout):
-    """(text, row count) of each block, formatted in this process."""
+def _write_blocks(blocks, layout, out):
+    """Format each block, write it to ``out`` and then yield its row count."""
     rows = 0
     for values in blocks:
+        out.write(_format_block(values, rows, *layout))
         n = len(values) // layout[0]
-        yield _format_block(values, rows, *layout), n
+        yield n
         rows += n
 
 
@@ -323,8 +310,8 @@ def _raise_for_child(status: int) -> None:
 
 
 def _texts_forked(blocks, layout, out):
-    """As :func:`_texts`, but a forked child formats each block and writes it to ``out``
-    while this process steps the next, so the texts yielded here are empty.
+    """As :func:`_write_blocks`, but a forked child runs that on each block while this
+    process steps the next.
 
     Whole states go down one pipe as doubles.  The child is reaped before any call that
     could raise an interrupt both processes took, so a map failure (a BiratError) comes
@@ -341,8 +328,7 @@ def _texts_forked(blocks, layout, out):
             gc.freeze()  # objects the parent left for collection are never finalized here
             with open(blocks_r, "rb") as src:
                 chunks = iter(lambda: src.read(8 * layout[0] * driver.BLOCK), b"")
-                for text, _ in _texts((array("d", chunk) for chunk in chunks), layout):
-                    out.write(text)
+                for _ in _write_blocks((array("d", chunk) for chunk in chunks), layout, out):
                     out.flush()  # each block is on the output once it is formatted
             status = 0
         except OSError as exc:  # a failed write; any other status reads as an early end
@@ -354,7 +340,7 @@ def _texts_forked(blocks, layout, out):
         with open(blocks_w, "wb") as to_child:
             for values in blocks:
                 to_child.write(array("d", values))
-                yield "", len(values) // layout[0]
+                yield len(values) // layout[0]
     except (BiratError, BrokenPipeError):
         _raise_for_child(os.waitpid(pid, 0)[1])  # a write that failed in the child wins
         raise
@@ -368,25 +354,16 @@ def _texts_forked(blocks, layout, out):
 
 def cmd_integrate(args) -> int:
     cfg = _build_run_config(args)
-    spec = MODELS[cfg.model]
-    try:
-        params = replace(spec.defaults, **cfg.params) if cfg.params else spec.defaults
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-    eps = spec.fast_scale(params) if spec.fast_scale else math.inf
-    if abs(cfg.h) > eps:
-        log.warning("%s=%g exceeds eps=%g; the fast transient will be underresolved",
-                    "h" if cfg.h > 0 else "|h|", abs(cfg.h), eps)
-
-    names = spec.state_names
-    x0 = cfg.x0 if cfg.x0 is not None else spec.default_x0(params)
-    if len(x0) != len(names):
-        raise ConfigError(f"x0: expected dimension {len(names)} for model"
-                          f" {cfg.model}, got {len(x0)}")
-
-    stepper = _make_stepper(cfg, params)
-    layout = (len(names), cfg.h, *_row_template(cfg.format, len(names)))
-    blocks = driver.orbit(stepper, x0, cfg.steps, names)
+    cols = [FMT] * (len(cfg.names) + 1)  # one row: t, then the state
+    if cfg.format == "csv":
+        head, row, sep = "t," + ",".join(cfg.names) + "\n", ",".join(cols) + "\n", ""
+    else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
+        head = '{"model": %s, "method": %s, "h": %s, "state_names": [%s], "rows": [' % (
+            json.dumps(cfg.model), json.dumps(cfg.method), FMT % cfg.h,
+            ", ".join(json.dumps(n) for n in cfg.names))
+        row, sep = "[" + ", ".join(cols) + "]", ",\n"
+    layout = (len(cfg.names), cfg.h, row, sep)
+    blocks = driver.orbit(cfg.step, cfg.x0, cfg.steps, cfg.names)
     to_stdout = cfg.output in (None, "-")
     try:
         sink = nullcontext(_stdout()) if to_stdout else open(cfg.output, "w")
@@ -398,16 +375,10 @@ def cmd_integrate(args) -> int:
     rows = 0
     error = None
     with sink as out, closing(_texts_forked(blocks, layout, out) if forked
-                              else _texts(blocks, layout)) as texts:
-        if cfg.format == "csv":
-            out.write("t," + ",".join(names) + "\n")
-        else:  # JSON is assembled by hand so numeric tokens match the CSV byte for byte
-            out.write('{"model": %s, "method": %s, "h": %s, "state_names": [%s], "rows": [' % (
-                json.dumps(cfg.model), json.dumps(cfg.method), FMT % cfg.h,
-                ", ".join(json.dumps(n) for n in names)))
+                              else _write_blocks(blocks, layout, out)) as counts:
+        out.write(head)
         try:
-            for text, n in texts:
-                out.write(text)
+            for n in counts:
                 rows += n
         except BiratError as exc:
             error = {"step": rows, "type": type(exc).__name__, "message": str(exc)}

@@ -218,7 +218,7 @@ def hopf_unstable_b(a: float) -> float:
 class ModelSpec:
     """One row of :data:`MODELS`; the callables take the model's parameter instance.
 
-    The fields of ``params`` are the allowed ``--params`` keys. ``field`` is
+    The fields of ``defaults`` are the allowed ``--params`` keys. ``field`` is
     ``None`` for a model that is not quadratic, and ``fast_scale`` (the ``eps``
     a step should not exceed) for one without a fast transient. ``invariants``
     names the row vectors ``w`` with ``w·f ≡ 0``: ``w·x`` is a first integral
@@ -226,7 +226,6 @@ class ModelSpec:
     """
 
     state_names: tuple[str, ...]
-    params: type | None
     defaults: object
     field: Callable[[object], QuadraticVectorField] | None
     default_x0: Callable[[object], list[float]]
@@ -235,14 +234,14 @@ class ModelSpec:
 
     @property
     def param_keys(self) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(self.params)) if self.params else ()
+        return () if self.defaults is None else tuple(f.name for f in fields(self.defaults))
 
     @property
     def required_keys(self) -> tuple[str, ...]:
         """The ``param_keys`` with no default: a partial ``--params`` set must name them."""
-        if not self.params:
+        if self.defaults is None:
             return ()
-        return tuple(f.name for f in fields(self.params)
+        return tuple(f.name for f in fields(self.defaults)
                      if f.default is MISSING and f.default_factory is MISSING)
 
 
@@ -254,24 +253,24 @@ def _schnakenberg_x0(p: SchnakenbergParams) -> list[float]:
 
 MODELS: dict[str, ModelSpec] = {
     "enzyme4": ModelSpec(
-        ("s", "e", "c", "p"), EnzymeParams, EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01),
+        ("s", "e", "c", "p"), EnzymeParams(1.0, 0.5, 0.1, 1.0, 0.01),
         field=enzyme_vf,
         default_x0=lambda p: [p.s0, p.e0, 0.0, 0.0],
         fast_scale=lambda p: p.e0 / p.s0,
         invariants=lambda p: {"e-plus-c": (0.0, 1.0, 1.0, 0.0),
                               "s-plus-c-plus-p": (1.0, 0.0, 1.0, 1.0)}),
     "enzyme3": ModelSpec(
-        ("x", "y", "z"), DimensionlessEnzymeParams, DimensionlessEnzymeParams(0.5, 0.6, 1e-2),
+        ("x", "y", "z"), DimensionlessEnzymeParams(0.5, 0.6, 1e-2),
         field=enzyme_diml_vf,
         default_x0=lambda p: [1.0, 0.0, 0.0],
         fast_scale=lambda p: p.eps,
         invariants=lambda p: {"linear-integral": (1.0, p.eps, 1.0)}),
     "lv": ModelSpec(
-        ("x", "y"), None, None,
+        ("x", "y"), None,
         field=lambda p: lv_vf(),
         default_x0=lambda p: [2.0, 0.5]),
     "schnakenberg": ModelSpec(
-        ("x", "y"), SchnakenbergParams, SchnakenbergParams(0.1, 0.5),
+        ("x", "y"), SchnakenbergParams(0.1, 0.5),
         field=None,
         default_x0=_schnakenberg_x0),
 }

@@ -234,6 +234,35 @@ class TestIntegrateConfigErrors:
                                   "--steps", "1", *extra])
         assert (code, out, err) == (1, "", f"birat: error: {message}\n")
 
+    W = ("WARNING birat.cli: h=0.1 exceeds eps=0.01;"
+         " the fast transient will be underresolved")
+
+    @pytest.mark.parametrize("argv, lines", [
+        ("--model enzyme4 --method nope --h 0.01 --params k1=-1,km1=0.5,k2=0.1",
+         ["params: k1 must be positive"]),
+        ("--model lv --method nope --h 0.01 --x0 1,2,3",
+         ["x0: expected dimension 2 for model lv, got 3"]),
+        ("--model enzyme3 --method kahan-series:x --h 0.1",
+         [W, "method: bad series order in 'kahan-series:x'"]),
+        ("--model schnakenberg --method kahan --h 0.01 --x0 1",
+         ["x0: expected dimension 2 for model schnakenberg, got 1"]),
+        ("--model schnakenberg --method kahan --h 0.01 --output no-such-dir/t.csv",
+         ["method: model schnakenberg is cubic; use method schnakenberg or euler"]),
+        (f"--model lv --method lv-family --params {MICKENS} --h 0.01 --x0 1,2,3",
+         ["x0: expected dimension 2 for model lv, got 3"]),
+        ("--model enzyme3 --method schnakenberg --h 0.1 --x0 1,0",
+         [W, "x0: expected dimension 3 for model enzyme3, got 2"]),
+        ("--model enzyme3 --method kahan --h 0.1 --params mu=0.7,nu=0.6,eps=0.1 --x0 1,0",
+         ["params: need nu > mu > 0, got mu=0.7, nu=0.6"]),
+    ], ids=["values-before-method", "x0-before-method", "warning-then-series-order",
+            "x0-before-cubic", "cubic-before-output", "lv-family-x0",
+            "warning-then-x0", "values-before-warning"])
+    def test_first_of_several_faults(self, argv, lines):
+        # each run has two or more faults; the one reported is the first in README's order
+        code, out, err = run_cli(["integrate", *argv.split(), "--steps", "2"])
+        expected = [line if line == self.W else f"birat: error: {line}" for line in lines]
+        assert (code, out, err) == (1, "", "".join(f"{line}\n" for line in expected))
+
     def test_x0_dimension_mismatch(self):
         code, _, err = run_cli(["integrate", "--model", "lv", "--method", "kahan",
                                 "--h", "0.1", "--steps", "1", "--x0", "1,2,3"])
